@@ -38,7 +38,7 @@ from .presentation import (
     opposite_algebra,
     second_syzygy_multiplicity,
 )
-from .quivers import Quiver, _bits, _popcount, path_count
+from .quivers import Quiver, _bits, _popcount
 
 log = logging.getLogger(__name__)
 
@@ -93,6 +93,18 @@ class SyzygyConfig:
         return self.mu_q2 - self.mu_q1 + self.hom_source_target
 
 
+def _path_counts_to(q: Quiver, dst: int) -> list[int]:
+    """The number of paths v ~> dst for every vertex v, capped at 2 (all
+    that ``build_syzygy_config`` asks), summed over successors in reverse
+    topological order."""
+    counts = [0] * q.n
+    counts[dst] = 1
+    for v in reversed(q.topological_order()):
+        if v != dst:
+            counts[v] = min(2, sum(counts[m] for m in _bits(q.out_mask[v])))
+    return counts
+
+
 def build_syzygy_config(algebra: SchurianAlgebra, i: str, j: str, *, dualized: bool = False) -> SyzygyConfig:
     ii, jj = algebra.index[str(i)], algebra.index[str(j)]
     res = resolution_of_simple(algebra, i)
@@ -107,12 +119,12 @@ def build_syzygy_config(algebra: SchurianAlgebra, i: str, j: str, *, dualized: b
             if any(reach[a] >> b & 1 and algebra.hom_bit(a, b) for b in r_set)
         }
     )
-    q = algebra.quiver
+    paths_to_j = _path_counts_to(algebra.quiver, jj)
     v = 0
     monomials = 0
     for a in s_set:
         if algebra.hom_bit(a, jj):
-            if path_count(q, a, jj) >= 2:
+            if paths_to_j[a] >= 2:
                 v += 1
         elif reach[a] >> jj & 1:
             monomials += 1

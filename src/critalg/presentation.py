@@ -28,14 +28,7 @@ from .errors import (
     NotAHasseDiagram,
     TriangularityViolation,
 )
-from .quivers import (
-    Quiver,
-    _bits,
-    all_paths,
-    has_bypass,
-    irreducible_contours,
-    Path,
-)
+from .quivers import Quiver, _bits, _popcount, has_bypass, lexmin_path
 
 log = logging.getLogger(__name__)
 
@@ -236,30 +229,115 @@ def _hom_from_zeros(hasse: Quiver, zeros: Sequence[tuple[int, int]]) -> list[int
 def _certify(hasse: Quiver, zeros: Sequence[tuple[int, int]]) -> Validity:
     """The sufficient gate for strong simple connectedness of the quotient:
     no realizing path of a zero generator may lie completely inside an
-    irreducible contour."""
+    irreducible contour.
+
+    Decided in polynomial time, without listing paths or contours.  The
+    paths x ~> y of length >= 2 are joined by chains of interlaced paths
+    exactly when their interiors lie in one connected component of the
+    comparability graph on the open interval (x, y) (``_interval_classes``),
+    so (x, y) carries an irreducible contour iff that graph is disconnected:
+    call (x, y) split.  A zero pair (s, t) then fails iff some split (x, y)
+    has x >= s and t >= y, and then every realizing path fails alike.
+
+    Each failing pair gets one reason: the first hit of the enumerating
+    definition, which tries the s ~> t paths in lexicographic index order,
+    each against the irreducible contours in ``quivers.irreducible_contours``
+    order.  The witness w is the least s ~> t path, as all fail alike.  The
+    contour lies on the first split (x, y) in index order with x >= s and
+    t >= y; it is the sorted pair of a, the least x ~> y path through w, and
+    b, the least x ~> y path whose interior lies in another component.
+    """
     if not zeros:
         return CERTIFIED
-    irr = irreducible_contours(hasse)
+    reach = hasse._reach_rows
+    above = _above_rows(hasse)
+    splits: dict[int, int] = {}
     reasons = []
     for s, t in zeros:
-        witnesses = [
-            Path(tuple(hasse.names[v] for v in p)) for p in all_paths(hasse, s, t)
-        ]
-        for w in witnesses:
-            hit = next(
-                (c for c in irr if c.p.contains_subpath(w) or c.q.contains_subpath(w)),
-                None,
-            )
-            if hit is not None:
-                reasons.append(
-                    f"zero {hasse.names[s]} ~> {hasse.names[t]}: path "
-                    f"{'->'.join(w.vertices)} lies in the irreducible contour "
-                    f"{'->'.join(hit.p.vertices)} / {'->'.join(hit.q.vertices)}"
-                )
+        for x in _bits(above[s]):
+            if x not in splits:
+                splits[x] = _split_row(hasse, above, x)
+            ys = splits[x] & reach[t]
+            if ys:
+                y = (ys & -ys).bit_length() - 1
+                reasons.append(_contour_reason(hasse, above, s, t, x, y))
                 break
     if reasons:
         return Validity(False, tuple(reasons))
     return CERTIFIED
+
+
+def _above_rows(hasse: Quiver) -> list[int]:
+    """Bit rows of the reflexive order read upwards: bit x of row y iff x ~> y."""
+    reach = hasse._reach_rows
+    rows = [1 << v for v in range(hasse.n)]
+    # more descendants first is a topological order
+    for v in sorted(range(hasse.n), key=lambda v: -_popcount(reach[v])):
+        for u in _bits(hasse.in_mask[v]):
+            rows[v] |= rows[u]
+    return rows
+
+
+def _interval_classes(hasse: Quiver, above: Sequence[int], x: int, y: int) -> list[int]:
+    """The connected components of the comparability graph on the open
+    interval (x, y), as pairwise disjoint vertex masks.
+
+    The interval is the union of the cones {v : m >= v > y} over the
+    successors m of x that reach y.  Each cone is connected, and a
+    comparability edge between two cones puts its lower end in both, so the
+    components are the classes of cones under "intersects".
+    """
+    reach = hasse._reach_rows
+    strictly_above_y = above[y] & ~(1 << y)
+    classes: list[int] = []
+    for m in _bits(hasse.out_mask[x]):
+        cone = reach[m] & strictly_above_y
+        if not cone:
+            continue
+        merged, rest = cone, []
+        for c in classes:
+            if c & cone:
+                merged |= c
+            else:
+                rest.append(c)
+        rest.append(merged)
+        classes = rest
+    return classes
+
+
+def _split_row(hasse: Quiver, above: Sequence[int], x: int) -> int:
+    """Bit y set iff the open interval (x, y) is disconnected."""
+    reach = hasse._reach_rows
+    once = twice = 0
+    for m in _bits(hasse.out_mask[x]):
+        twice |= once & reach[m]
+        once |= reach[m]
+    # a y with one in-arrow z has z in every cone, so only a y below two
+    # successors and with two in-arrows can split
+    row = 0
+    for y in _bits(twice):
+        if _popcount(hasse.in_mask[y]) >= 2 and len(_interval_classes(hasse, above, x, y)) >= 2:
+            row |= 1 << y
+    return row
+
+
+def _contour_reason(hasse: Quiver, above: Sequence[int], s: int, t: int, x: int, y: int) -> str:
+    names, reach = hasse.names, hasse._reach_rows
+    w = lexmin_path(hasse, s, t)
+    a = lexmin_path(hasse, x, s) + w[1:] + lexmin_path(hasse, t, y)[1:]
+    home = next(c for c in _interval_classes(hasse, above, x, y) if c >> a[1] & 1)
+    m = next(
+        m for m in _bits(hasse.out_mask[x]) if reach[m] >> y & 1 and not home >> m & 1
+    )
+    p, q = sorted((a, (x,) + lexmin_path(hasse, m, y)))
+
+    def show(path):
+        return "->".join(names[v] for v in path)
+
+    return (
+        f"zero {names[s]} ~> {names[t]}: path {show(w)} lies in the irreducible "
+        f"contour {show(p)} / {show(q)}"
+    )
 
 
 def from_poset(hasse: Quiver, zeros: Iterable[tuple[str, str]] = (), label: str = "") -> IncidenceQuotient:

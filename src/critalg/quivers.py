@@ -264,26 +264,43 @@ def hasse_reduction(pairs: Iterable[tuple[str, str]]) -> Quiver:
 
 
 def all_paths(quiver: Quiver, src: int, dst: int) -> list[tuple[int, ...]]:
-    """All directed paths src ~> dst as vertex index tuples (memoized)."""
+    """All directed paths src ~> dst as vertex index tuples, in lexicographic
+    order (memoized).
+
+    Exponential in general: a small-input oracle, not for production paths.
+    Iterative, so long chains cannot exhaust the interpreter's stack.
+    """
     cache = quiver.__dict__.setdefault("_path_cache", {})
-    key = (src, dst)
-    if key in cache:
-        return cache[key]
-    if src == dst:
-        out = [(src,)]
-    elif not quiver.reaches(src, dst):
-        out = []
-    else:
-        out = []
-        for m in sorted(_bits(quiver.out_mask[src])):
-            if quiver.reaches(m, dst):
-                out.extend((src,) + tail for tail in all_paths(quiver, m, dst))
-    cache[key] = out
-    return out
+    stack = [src]
+    while stack:
+        v = stack[-1]
+        key = (v, dst)
+        if key in cache:
+            stack.pop()
+            continue
+        if v == dst:
+            cache[key] = [(v,)]
+            stack.pop()
+            continue
+        succ = [m for m in _bits(quiver.out_mask[v]) if quiver.reaches(m, dst)]
+        pending = [m for m in succ if (m, dst) not in cache]
+        if pending:
+            stack.extend(pending)
+            continue
+        cache[key] = [(v,) + tail for m in succ for tail in cache[(m, dst)]]
+        stack.pop()
+    return cache[(src, dst)]
 
 
-def path_count(quiver: Quiver, src: int, dst: int) -> int:
-    return len(all_paths(quiver, src, dst))
+def lexmin_path(quiver: Quiver, src: int, dst: int) -> tuple[int, ...]:
+    """The first path src ~> dst in ``all_paths`` order, without enumeration:
+    from each vertex, step to the smallest successor that still reaches dst."""
+    if not quiver.reaches(src, dst):
+        raise ValueError(f"no path {quiver.names[src]} ~> {quiver.names[dst]}")
+    path = [src]
+    while path[-1] != dst:
+        path.append(next(m for m in _bits(quiver.out_mask[path[-1]]) if quiver.reaches(m, dst)))
+    return tuple(path)
 
 
 def contours(quiver: Quiver) -> list[Contour]:

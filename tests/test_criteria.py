@@ -28,7 +28,7 @@ from critalg.criteria import (
 )
 from critalg.homology import ext_dim, gl_dim, pd_of_simple
 from critalg.presentation import from_poset, full_subcategory
-from critalg.quivers import Quiver
+from critalg.quivers import Quiver, all_paths
 from critalg.randgen import RandomModel, random_algebra
 
 
@@ -56,6 +56,20 @@ def test_syzygy_config_crown(crown):
     cfg = build_syzygy_config(crown, t, s)
     assert cfg.r == 2 and cfg.s == 2
     assert cfg.v == 2 and cfg.monomials == 0
+
+
+def test_syzygy_config_parallel_count_matches_enumeration(diamond6, chain6, crown, square, arc4):
+    for A in (diamond6, chain6, crown, square, arc4):
+        for i in A.names:
+            for j in A.names:
+                cfg = build_syzygy_config(A, i, j)
+                jj = A.index[j]
+                expected = sum(
+                    1
+                    for a in cfg.s_set
+                    if A.hom(a, j) and len(all_paths(A.quiver, A.index[a], jj)) >= 2
+                )
+                assert cfg.v == expected
 
 
 def test_syzygy_config_chain6(chain6):

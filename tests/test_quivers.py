@@ -5,6 +5,7 @@ import pytest
 from critalg.errors import NotAPartialOrder, TriangularityViolation
 from critalg.quivers import (
     Quiver,
+    all_paths,
     contours,
     has_bypass,
     hasse_reduction,
@@ -12,6 +13,7 @@ from critalg.quivers import (
     is_interlaced,
     is_irreducible,
     is_triangular,
+    lexmin_path,
     opposite,
     reachability,
 )
@@ -198,3 +200,35 @@ def test_has_bypass_on_cyclic_arrow_sets():
     assert has_bypass(cyc)
     plain = Quiver(["1", "2"], [("1", "2"), ("2", "1")])
     assert not has_bypass(plain)
+
+
+def _recursive_all_paths(Q, src, dst):
+    """The recursive enumeration all_paths replaced, as the order reference."""
+    if src == dst:
+        return [(src,)]
+    out = []
+    for m in sorted(b for b in range(Q.n) if Q.out_mask[src] >> b & 1):
+        if Q.reaches(m, dst):
+            out.extend((src,) + tail for tail in _recursive_all_paths(Q, m, dst))
+    return out
+
+
+def test_all_paths_order_and_derived_helpers(diamond6, crown):
+    for Q in (diamond6.hasse, crown.hasse):
+        for x in range(Q.n):
+            for y in range(Q.n):
+                paths = all_paths(Q, x, y)
+                assert paths == _recursive_all_paths(Q, x, y)
+                assert paths == sorted(paths)
+                if paths:
+                    assert lexmin_path(Q, x, y) == paths[0]
+                else:
+                    with pytest.raises(ValueError):
+                        lexmin_path(Q, x, y)
+
+
+def test_all_paths_long_chain_is_iterative():
+    n = 3000
+    Q = Quiver([str(k) for k in range(n)], [(str(k), str(k + 1)) for k in range(n - 1)])
+    assert all_paths(Q, 0, n - 1) == [tuple(range(n))]
+    assert lexmin_path(Q, 0, n - 1) == tuple(range(n))
