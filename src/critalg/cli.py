@@ -25,6 +25,7 @@ from .randgen import RandomModel, random_algebra
 from .report import (
     build_report,
     coresolution_line,
+    critical_json,
     render_report,
     resolution_line,
 )
@@ -166,17 +167,13 @@ def _dispatch(args) -> int:
             _emit(("\n".join(lines) + "\n").encode())
         return 0
 
-    if args.command == "gldim":
+    if args.command in ("gldim", "criterion"):
         algebra = _load(args.file)
+        if args.command == "criterion":
+            _guard_size(algebra, args)
         small = algebra.n <= args.max_subset_size or args.force
-        report = build_report(algebra, timings_ms=ms(), with_criterion=small)
-        _emit(render_report(report, "json" if args.json else "text"))
-        return 0
-
-    if args.command == "criterion":
-        algebra = _load(args.file)
-        _guard_size(algebra, args)
-        report = build_report(algebra, timings_ms=ms(), budget_seconds=args.budget_seconds)
+        report = build_report(algebra, with_criterion=small, budget_seconds=args.budget_seconds)
+        report.timings_ms = ms()
         _emit(render_report(report, "json" if args.json else "text"))
         return 0
 
@@ -214,13 +211,7 @@ def _dispatch(args) -> int:
                 "algebra": algebra.label,
                 "strategy": args.strategy,
                 "certified": bool(algebra.validity and algebra.validity.certified),
-                "critical": [
-                    {"subset": list(r.subset),
-                     "template": r.template.kind if r.template else None,
-                     "params": r.template.param if r.template else None,
-                     "opposite": r.template.opposite if r.template else False}
-                    for r in reports
-                ],
+                "critical": [critical_json(r) for r in reports],
             }, indent=2) + "\n").encode())
         elif not reports:
             _emit((f"no critical subcategory{suffix}\n").encode("utf-8"))
@@ -278,7 +269,11 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "random":
-        model = RandomModel(seed=args.seed, n=args.n, edge_density=args.density, zero_rate=args.zero_rate)
+        try:
+            model = RandomModel(seed=args.seed, n=args.n, edge_density=args.density, zero_rate=args.zero_rate)
+        except ValueError as e:
+            print(f"critalg: {e}", file=sys.stderr)
+            return USAGE_ERROR
         algebra = random_algebra(model)
         _emit(render_spec(algebra).encode())
         return 0

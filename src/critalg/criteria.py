@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import (
     ClassificationGap,
@@ -29,7 +28,7 @@ from .homology import (
     verify_exactness,
     verify_minimality,
 )
-from .iso import canonical_form
+from .iso import are_isomorphic
 from .presentation import (
     IncidenceQuotient,
     SchurianAlgebra,
@@ -38,7 +37,7 @@ from .presentation import (
     opposite_algebra,
     second_syzygy_multiplicity,
 )
-from .quivers import Quiver, _bits, _popcount
+from .quivers import Quiver, _bits, _popcount, convex_mask
 
 log = logging.getLogger(__name__)
 
@@ -408,8 +407,6 @@ def classify_critical(B: SchurianAlgebra) -> CriticalTemplate:
     """Identify a critical algebra in the catalogue, up to isomorphism and
     opposite.  A miss raises ClassificationGap (a genuine finding, not a user
     error)."""
-    from .iso import are_isomorphic
-
     for cand in _candidates_for_size(B.n):
         for opp in (False, True):
             tpl = critical_template(cand.kind, cand.param, opposite=opp)
@@ -549,22 +546,11 @@ def _i_iv_family(
     return out
 
 
-def _is_convex_mask(B: SchurianAlgebra, mask: int) -> bool:
-    """Convexity of a vertex subset inside B's arrow skeleton."""
-    rows = B.reach_rows
-    for z in range(B.n):
-        if mask >> z & 1:
-            continue
-        if any(rows[x] >> z & 1 for x in _bits(mask)) and rows[z] & mask:
-            return False
-    return True
-
-
 def _convex_obstruction(B: SchurianAlgebra, family_masks) -> int | None:
     """A proper convex subset of B whose induced algebra satisfies i)-iv)."""
     full = (1 << B.n) - 1
     for mask in family_masks:
-        if mask != full and _is_convex_mask(B, mask):
+        if mask != full and convex_mask(B.reach_rows, mask):
             return mask
     return None
 
@@ -633,7 +619,7 @@ def find_all_critical_subcategories(
     over its own convex subsets.  Deterministic order: by vertex-index tuple."""
     import time
 
-    deadline = time.monotonic() + budget_seconds if budget_seconds else None
+    deadline = time.monotonic() + budget_seconds if budget_seconds is not None else None
     family = _i_iv_family(algebra, audit=audit, deadline=deadline)
     masks = sorted(family)
     critical_masks = []
@@ -642,25 +628,26 @@ def find_all_critical_subcategories(
         sub_family = [_local_mask(m, o) for o in masks if o != m and o & m == o]
         if _convex_obstruction(B, sub_family) is None:
             critical_masks.append(m)
-    reports = []
-    for mask in sorted(critical_masks, key=lambda m: tuple(_bits(m))):
-        B = _induced(algebra, mask)
-        src, snk = family[mask]
-        try:
-            tpl = classify_critical(B)
-        except ClassificationGap:
-            tpl = None
-        res = resolution_of_simple(B, src)
-        reports.append(
-            CriticalReport(
-                subset=tuple(algebra.names[v] for v in _bits(mask)),
-                template=tpl,
-                source=src,
-                sink=snk,
-                resolution_terms=tuple(res.term_names(k) for k in range(len(res.terms))),
-            )
-        )
-    return reports
+    return [
+        _critical_report(_induced(algebra, mask), *family[mask])
+        for mask in sorted(critical_masks, key=lambda m: tuple(_bits(m)))
+    ]
+
+
+def _critical_report(B: SchurianAlgebra, src: str, snk: str) -> CriticalReport:
+    """The report on a critical algebra B with the given source and sink."""
+    try:
+        tpl = classify_critical(B)
+    except ClassificationGap:
+        tpl = None
+    res = resolution_of_simple(B, src)
+    return CriticalReport(
+        subset=B.names,
+        template=tpl,
+        source=src,
+        sink=snk,
+        resolution_terms=tuple(res.term_names(k) for k in range(len(res.terms))),
+    )
 
 
 def build_critical_candidate(algebra: SchurianAlgebra, i: str, j: str) -> SchurianAlgebra:
@@ -700,20 +687,7 @@ def find_critical_subcategory_guided(algebra: SchurianAlgebra) -> list[CriticalR
                     ",".join(B.names), i, j, "; ".join(chk.reasons),
                 )
                 continue
-            try:
-                tpl = classify_critical(B)
-            except ClassificationGap:
-                tpl = None
-            resB = resolution_of_simple(B, chk.source)
-            reports.append(
-                CriticalReport(
-                    subset=tuple(B.names),
-                    template=tpl,
-                    source=chk.source,
-                    sink=chk.sink,
-                    resolution_terms=tuple(resB.term_names(k) for k in range(len(resB.terms))),
-                )
-            )
+            reports.append(_critical_report(B, chk.source, chk.sink))
     reports.sort(key=lambda r: tuple(algebra.index[x] for x in r.subset))
     return reports
 
@@ -776,37 +750,9 @@ def pd_spectrum_check(algebra: SchurianAlgebra) -> bool:
 # -- the incidence-algebra criterion ----------------------------------------------
 
 
-def _order_rows(algebra: SchurianAlgebra) -> list[int]:
-    return list(algebra.reach_rows)
-
-
-def _poset_canon_of_mask(rows: list[int], mask: int) -> tuple[int, ...]:
-    keep = [i for i in range(len(rows)) if mask >> i & 1]
-    pos = {v: k for k, v in enumerate(keep)}
-    sub = []
-    for i in keep:
-        r = 0
-        for j in keep:
-            if rows[i] >> j & 1:
-                r |= 1 << pos[j]
-        sub.append(r)
-    return canonical_form(len(keep), sub)
-
-
-@lru_cache(maxsize=None)
-def _crown_order_canon(n: int) -> tuple[int, ...]:
-    tpl = critical_template("Q", n)
-    return canonical_form(tpl.n, list(tpl.reach_rows))
-
-
-@lru_cache(maxsize=None)
-def _resolving_poset_canon() -> tuple[int, ...]:
-    # two diamonds stacked through a middle element
-    q = Quiver(
-        ["t", "l", "r", "m", "bl", "br", "b"],
-        [("t", "l"), ("t", "r"), ("l", "m"), ("r", "m"), ("m", "bl"), ("m", "br"), ("bl", "b"), ("br", "b")],
-    )
-    return canonical_form(7, list(q._reach_rows))
+def _sub_rows(rows: list[int] | tuple[int, ...], mask: int) -> list[int]:
+    """A relation given by bit rows, restricted to the members of ``mask``."""
+    return [_local_mask(mask, rows[i]) for i in _bits(mask)]
 
 
 def igusa_zacharia(P: IncidenceQuotient) -> bool:
@@ -815,33 +761,28 @@ def igusa_zacharia(P: IncidenceQuotient) -> bool:
     full subposet sits inside a resolving double diamond."""
     if not isinstance(P, IncidenceQuotient) or P.declared_zeros:
         raise NotAnIncidenceAlgebra("the test applies to incidence algebras only")
-    rows = _order_rows(P)
+    rows = P.reach_rows
     n = P.n
-    crown = _crown_order_canon(2)
-    resolving = _resolving_poset_canon()
-    masks_by_size: dict[int, list[int]] = {}
-    for size in {6, 7} | {2 * k + 2 for k in range(3, n // 2 + 1)}:
-        if size <= n:
-            masks_by_size[size] = _masks_of_size(n, size)
-    for k in range(3, n // 2 + 1):
+    # a Q template has no zero pairs, so its hom support is its order
+    for k in range(3, (n - 2) // 2 + 1):
+        fan = critical_template("Q", k).hom_rows
         size = 2 * k + 2
-        if size > n:
-            break
-        target = _crown_order_canon(k)
-        for mask in masks_by_size[size]:
-            if _poset_canon_of_mask(rows, mask) == target:
-                return False
-    for mask in masks_by_size.get(6, []):
-        if _poset_canon_of_mask(rows, mask) != crown:
+        if any(are_isomorphic(size, _sub_rows(rows, m), size, fan) for m in _masks_of_size(n, size)):
+            return False
+    crown = critical_template("Q", 2).hom_rows
+    # two diamonds stacked through a middle element
+    resolving = Quiver(
+        ["t", "l", "r", "m", "bl", "br", "b"],
+        [("t", "l"), ("t", "r"), ("l", "m"), ("r", "m"), ("m", "bl"), ("m", "br"), ("bl", "b"), ("br", "b")],
+    )._reach_rows
+    for mask in _masks_of_size(n, 6):
+        if not are_isomorphic(6, _sub_rows(rows, mask), 6, crown):
             continue
-        resolved = False
-        for w in range(n):
-            if mask >> w & 1:
-                continue
-            if _poset_canon_of_mask(rows, mask | (1 << w)) == resolving:
-                resolved = True
-                break
-        if not resolved:
+        if not any(
+            are_isomorphic(7, _sub_rows(rows, mask | 1 << w), 7, resolving)
+            for w in range(n)
+            if not mask >> w & 1
+        ):
             return False
     return True
 
@@ -861,15 +802,6 @@ def _masks_of_size(n: int, size: int) -> list[int]:
 # -- simple-connectedness obstruction -----------------------------------------------
 
 
-def _crown_rows(arms: int) -> list[int]:
-    rows = []
-    for k in range(arms):
-        rows.append((1 << k) | (1 << (arms + k)) | (1 << (arms + (k + 1) % arms)))
-    for k in range(arms):
-        rows.append(1 << (arms + k))
-    return rows
-
-
 def convex_crown_witness(algebra: SchurianAlgebra) -> tuple[str, ...] | None:
     """A convex full subcategory isomorphic to a cyclic two-layer crown.
 
@@ -881,17 +813,16 @@ def convex_crown_witness(algebra: SchurianAlgebra) -> tuple[str, ...] | None:
     """
     from itertools import combinations
 
-    from .iso import are_isomorphic
-
     n = algebra.n
     for arms in range(2, n // 2 + 1):
-        target = _crown_rows(arms)
         size = 2 * arms
+        # the crown is Q_arms without its source and sink
+        target = _sub_rows(critical_template("Q", arms).hom_rows, (1 << (size + 1)) - 2)
         for combo in combinations(range(n), size):
             mask = 0
             for c in combo:
                 mask |= 1 << c
-            if not _is_convex_mask(algebra, mask):
+            if not convex_mask(algebra.reach_rows, mask):
                 continue
             B = _induced(algebra, mask)
             if len(B.quiver.arrows) != 2 * arms:
@@ -913,7 +844,7 @@ def proper_subcategories_gldim_le2(algebra: SchurianAlgebra, sample_confirm: int
     full = (1 << algebra.n) - 1
     passes = []
     for mask in range(1, full):
-        if not _is_convex_mask(algebra, mask):
+        if not convex_mask(algebra.reach_rows, mask):
             continue
         B = _induced(algebra, mask)
         if _gldim_le2_fast(B):

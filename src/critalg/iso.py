@@ -7,14 +7,7 @@ Color refinement prunes the search; sizes here stay below ~20 vertices.
 
 from __future__ import annotations
 
-
-def _bits(mask: int):
-    i = 0
-    while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
+from .quivers import _bits, transpose
 
 
 def _refine(n: int, rows: list[int], cols: list[int], colors: list[int]) -> list[int]:
@@ -48,10 +41,7 @@ def canonical_form(n: int, rows: list[int]) -> tuple[int, ...]:
     """Smallest row-bit encoding over all orderings consistent with refinement."""
     if n == 0:
         return ()
-    cols = [0] * n
-    for v in range(n):
-        for w in _bits(rows[v]):
-            cols[w] |= 1 << v
+    cols = transpose(rows)
     colors = _refine(n, rows, cols, [0] * n)
     best: list[tuple[int, ...] | None] = [None]
 
@@ -78,14 +68,6 @@ def _normalize(colors: list[int]) -> list[int]:
     return [order[c] for c in colors]
 
 
-def _cols_of(n: int, rows: list[int]) -> list[int]:
-    cols = [0] * n
-    for v in range(n):
-        for w in _bits(rows[v]):
-            cols[w] |= 1 << v
-    return cols
-
-
 def are_isomorphic(n1: int, rows1: list[int], n2: int, rows2: list[int]) -> bool:
     """Backtracking isomorphism test with joint color refinement.
 
@@ -98,26 +80,10 @@ def are_isomorphic(n1: int, rows1: list[int], n2: int, rows2: list[int]) -> bool
     n = n1
     if n == 0:
         return True
-    cols1, cols2 = _cols_of(n, rows1), _cols_of(n, rows2)
-    # joint refinement: signatures computed over both graphs at once
-    colors1, colors2 = [0] * n, [0] * n
-    while True:
-        sig1 = [
-            (colors1[v], tuple(sorted(colors1[w] for w in _bits(rows1[v]))),
-             tuple(sorted(colors1[w] for w in _bits(cols1[v]))))
-            for v in range(n)
-        ]
-        sig2 = [
-            (colors2[v], tuple(sorted(colors2[w] for w in _bits(rows2[v]))),
-             tuple(sorted(colors2[w] for w in _bits(cols2[v]))))
-            for v in range(n)
-        ]
-        order = {s: i for i, s in enumerate(sorted(set(sig1) | set(sig2)))}
-        new1 = [order[s] for s in sig1]
-        new2 = [order[s] for s in sig2]
-        if new1 == colors1 and new2 == colors2:
-            break
-        colors1, colors2 = new1, new2
+    # joint refinement: one run on the disjoint union, graph 2 shifted by n
+    union = list(rows1) + [r << n for r in rows2]
+    colors = _refine(2 * n, union, transpose(union), [0] * (2 * n))
+    colors1, colors2 = colors[:n], colors[n:]
     if sorted(colors1) != sorted(colors2):
         return False
     by_color: dict[int, list[int]] = {}

@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .iso import canonical_form
-from .quivers import Quiver
+from .quivers import Quiver, _bits, cover_arrows
 
 
 @lru_cache(maxsize=None)
@@ -36,35 +36,11 @@ def posets_up_to_iso(n: int) -> tuple[tuple[int, ...], ...]:
 def _ideals(rows: tuple[int, ...], k: int):
     """Down-closed subsets: every element's row (its down-set) stays inside."""
     for mask in range(1 << k):
-        ok = True
-        m = mask
-        while m:
-            low = m & -m
-            x = low.bit_length() - 1
-            if rows[x] & ~mask:
-                ok = False
-                break
-            m &= m - 1
-        if ok:
+        if not any(rows[x] & ~mask for x in _bits(mask)):
             yield mask
 
 
 def hasse_quiver_of(rows: tuple[int, ...]) -> Quiver:
     """The Hasse quiver of an order relation (names are 1-based positions)."""
-    n = len(rows)
-    names = [str(i + 1) for i in range(n)]
-    arrows = []
-    for a in range(n):
-        for b in range(n):
-            if a != b and rows[a] >> b & 1:
-                strictly_between = rows[a] & ~(1 << a) & ~(1 << b)
-                if not any(rows[c] >> b & 1 for c in _bits(strictly_between)):
-                    arrows.append((names[a], names[b]))
-    return Quiver(names, arrows)
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask &= mask - 1
+    names = [str(i + 1) for i in range(len(rows))]
+    return Quiver(names, [(names[a], names[b]) for a, b in cover_arrows(rows)])

@@ -28,7 +28,7 @@ from .errors import (
     NotAHasseDiagram,
     TriangularityViolation,
 )
-from .quivers import Quiver, _bits, _popcount, has_bypass, lexmin_path
+from .quivers import Quiver, _bits, _popcount, has_bypass, is_triangular, lexmin_path, transpose
 
 log = logging.getLogger(__name__)
 
@@ -87,23 +87,14 @@ class SchurianAlgebra:
     def quiver(self) -> Quiver:
         """Arrow skeleton: x->y iff hom(x,y)=1 with no hom-factorization."""
         arrows = []
+        cols = transpose(self.hom_rows)
         for x in range(self.n):
             row = self.hom_rows[x] & ~(1 << x)
             for y in _bits(row):
-                through = row & self._hom_col(y) & ~(1 << y)
+                through = row & cols[y] & ~(1 << y)
                 if not through:
                     arrows.append((self.names[x], self.names[y]))
         return Quiver(self.names, arrows)
-
-    def _hom_col(self, y: int) -> int:
-        cols = self._cache.get("cols")
-        if cols is None:
-            cols = [0] * self.n
-            for x in range(self.n):
-                for yy in _bits(self.hom_rows[x]):
-                    cols[yy] |= 1 << x
-            self._cache["cols"] = cols
-        return cols[y]
 
     @cached_property
     def reach_rows(self) -> tuple[int, ...]:
@@ -175,7 +166,7 @@ class IncidenceQuotient(SchurianAlgebra):
     """kQ/(I + J): a Hasse quiver with commutativity relations and zero pairs."""
 
     def __init__(self, hasse: Quiver, zeros: Iterable[tuple[str, str]], label: str = ""):
-        if not _acyclic(hasse):
+        if not is_triangular(hasse):
             raise TriangularityViolation("Hasse quiver has a directed cycle")
         if has_bypass(hasse):
             raise NotAHasseDiagram("quiver has a bypass; not a Hasse diagram")
@@ -203,14 +194,6 @@ class IncidenceQuotient(SchurianAlgebra):
     @property
     def is_incidence_algebra(self) -> bool:
         return not self.declared_zeros
-
-
-def _acyclic(q: Quiver) -> bool:
-    try:
-        q.topological_order()
-        return True
-    except TriangularityViolation:
-        return False
 
 
 def _hom_from_zeros(hasse: Quiver, zeros: Sequence[tuple[int, int]]) -> list[int]:
@@ -367,12 +350,7 @@ def convex_hull(algebra: SchurianAlgebra, i: str, j: str, label: str = "") -> Sc
     Falls back to {i, j} when j is unreachable from i.  The result is full
     and convex, hence restriction-faithful for extension groups.
     """
-    ii, jj = algebra.index[str(i)], algebra.index[str(j)]
-    reach = algebra.reach_rows
-    mask = (1 << ii) | (1 << jj)
-    for k in range(algebra.n):
-        if reach[ii] >> k & 1 and reach[k] >> jj & 1:
-            mask |= 1 << k
+    mask = hull_mask(algebra, algebra.index[str(i)], algebra.index[str(j)])
     return algebra.restrict_mask(mask, label=label or f"{algebra.label}|hull({i},{j})")
 
 
@@ -388,12 +366,8 @@ def hull_mask(algebra: SchurianAlgebra, ii: int, jj: int) -> int:
 def opposite_algebra(algebra: SchurianAlgebra) -> SchurianAlgebra:
     cached = algebra._cache.get("op")
     if cached is None:
-        rows = [0] * algebra.n
-        for x in range(algebra.n):
-            for y in _bits(algebra.hom_rows[x]):
-                rows[y] |= 1 << x
         cached = SchurianAlgebra(
-            algebra.names, rows, label=(algebra.label + "^op") if algebra.label else "op",
+            algebra.names, transpose(algebra.hom_rows), label=(algebra.label + "^op") if algebra.label else "op",
             validity=algebra.validity,
         )
         algebra._cache["op"] = cached

@@ -252,15 +252,32 @@ def hasse_reduction(pairs: Iterable[tuple[str, str]]) -> Quiver:
         for b in range(n):
             if a != b and ge[a] >> b & 1 and ge[b] >> a & 1:
                 raise NotAPartialOrder(f"{names[a]} and {names[b]} compare both ways")
+    return Quiver(names, [(names[a], names[b]) for a, b in cover_arrows(ge)])
+
+
+def cover_arrows(rows: Sequence[int]) -> list[tuple[int, int]]:
+    """The covering pairs (a, b) of a transitively closed order relation:
+    b lies strictly below a, and no c lies strictly between them.
+
+    Bit b of ``rows[a]`` reads a >= b; diagonal bits may be set or not.
+    """
     arrows = []
-    for a in range(n):
-        for b in _bits(ge[a] & ~(1 << a)):
-            strictly_below_a = ge[a] & ~(1 << a)
-            if not any(
-                ge[c] >> b & 1 for c in _bits(strictly_below_a & ~(1 << b))
-            ):
-                arrows.append((names[a], names[b]))
-    return Quiver(names, arrows)
+    for a, row in enumerate(rows):
+        below = row & ~(1 << a)
+        deeper = 0
+        for c in _bits(below):
+            deeper |= rows[c] & ~(1 << c)
+        arrows.extend((a, b) for b in _bits(below & ~deeper))
+    return arrows
+
+
+def transpose(rows: Sequence[int]) -> list[int]:
+    """The bit rows of the reversed relation: bit v of row w iff bit w of row v."""
+    cols = [0] * len(rows)
+    for v, row in enumerate(rows):
+        for w in _bits(row):
+            cols[w] |= 1 << v
+    return cols
 
 
 def all_paths(quiver: Quiver, src: int, dst: int) -> list[tuple[int, ...]]:
@@ -376,14 +393,16 @@ def is_convex(quiver: Quiver, subset: Iterable[str]) -> bool:
     mask = 0
     for v in subset:
         mask |= 1 << quiver.index[str(v)]
-    rows = quiver._reach_rows
-    for z in range(quiver.n):
-        if mask >> z & 1:
-            continue
-        entered = any(rows[x] >> z & 1 for x in _bits(mask))
-        if entered and rows[z] & mask:
-            return False
-    return True
+    return convex_mask(quiver._reach_rows, mask)
+
+
+def convex_mask(reach_rows: Sequence[int], mask: int) -> bool:
+    """True iff no vertex outside ``mask`` lies below one member and above
+    another, for the reflexive reachability rows of an acyclic quiver."""
+    entered = 0
+    for x in _bits(mask):
+        entered |= reach_rows[x]
+    return not any(reach_rows[z] & mask for z in _bits(entered & ~mask))
 
 
 def opposite(quiver: Quiver) -> Quiver:

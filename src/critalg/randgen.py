@@ -6,7 +6,7 @@ import random
 from dataclasses import dataclass
 
 from .presentation import IncidenceQuotient, from_poset
-from .quivers import Quiver
+from .quivers import Quiver, _bits, cover_arrows
 
 
 @dataclass(frozen=True)
@@ -44,24 +44,12 @@ def random_algebra(model: RandomModel) -> IncidenceQuotient:
                     ge[i] |= 1 << j
         # transitive closure over the linear extension 1..n
         for i in range(model.n - 1, -1, -1):
-            acc = ge[i]
-            j = acc
-            while j:
-                low = j & -j
-                acc |= ge[low.bit_length() - 1]
-                j &= j - 1
-            ge[i] = acc
-        arrows = []
-        for i in range(model.n):
-            for j in range(model.n):
-                if ge[i] >> j & 1:
-                    between = ge[i] & ~(1 << j)
-                    if not any(ge[k] >> j & 1 for k in _bit_positions(between)):
-                        arrows.append((names[i], names[j]))
-        quiver = Quiver(names, arrows)
+            for j in _bits(ge[i]):
+                ge[i] |= ge[j]
+        quiver = Quiver(names, [(names[i], names[j]) for i, j in cover_arrows(ge)])
         eligible = []
         for i in range(model.n):
-            for j in _bit_positions(ge[i]):
+            for j in _bits(ge[i]):
                 if (i, j) not in quiver.arrows:
                     eligible.append((names[i], names[j]))
         zeros = [p for p in eligible if rng.random() < model.zero_rate]
@@ -71,10 +59,3 @@ def random_algebra(model: RandomModel) -> IncidenceQuotient:
         if algebra.validity.certified:
             return algebra
     return last
-
-
-def _bit_positions(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask &= mask - 1

@@ -12,11 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .criteria import (
-    CriticalReport,
-    CriticalTemplate,
-    find_all_critical_subcategories,
-)
+from .criteria import CriticalReport, find_all_critical_subcategories
 from .homology import idim_of_simple, pd_of_simple, resolution_of_simple
 from .presentation import SchurianAlgebra
 
@@ -96,22 +92,14 @@ def _term_text(names: tuple[str, ...], prefix: str) -> str:
     return "⊕".join(bits)
 
 
-def _critical_json(r: CriticalReport) -> dict:
+def critical_json(r: CriticalReport) -> dict:
+    """The pinned JSON record of one critical subcategory."""
     return {
         "subset": list(r.subset),
         "template": r.template.kind if r.template else None,
         "params": r.template.param if r.template else None,
         "opposite": r.template.opposite if r.template else False,
     }
-
-
-def _critical_from_json(d: dict) -> CriticalReport:
-    tpl = (
-        CriticalTemplate(d["template"], d["params"], d["opposite"])
-        if d.get("template")
-        else None
-    )
-    return CriticalReport(tuple(d["subset"]), tpl, "", "", ())
 
 
 def build_report(
@@ -131,7 +119,7 @@ def build_report(
         reports = find_all_critical_subcategories(algebra, budget_seconds=budget_seconds)
         criterion = {
             "verdict": "certified_gldim_le_2" if not reports else "critical_found",
-            "critical": [_critical_json(r) for r in reports],
+            "critical": [critical_json(r) for r in reports],
         }
     else:
         reports = []

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from critalg.errors import NotAPartialOrder, TriangularityViolation
+from critalg.posets import hasse_quiver_of, posets_up_to_iso
 from critalg.quivers import (
     Quiver,
     all_paths,
@@ -109,6 +110,29 @@ def test_reduction_closure_round_trip_random():
         assert not has_bypass(Q)
         closure = {p for p in reachability(Q) if p[0] in {a for a, _ in pairs} | {b for _, b in pairs}}
         assert closure == pairs
+
+
+def test_transitive_reductions_agree_with_brute_force_covers():
+    # every poset on at most 6 elements, relabelled by a random permutation so
+    # that index order need not be a linear extension
+    rng = random.Random(29)
+    for n in range(1, 7):
+        for rows in posets_up_to_iso(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            shuffled = [0] * n
+            for v in range(n):
+                shuffled[perm[v]] = sum(1 << perm[w] for w in range(n) if rows[v] >> w & 1)
+            below = {(a, b) for a in range(n) for b in range(n) if a != b and shuffled[a] >> b & 1}
+            covers = {
+                (a, b) for a, b in below
+                if not any((a, c) in below and (c, b) in below for c in range(n))
+            }
+            named = {(str(a + 1), str(b + 1)) for a, b in covers}
+            assert set(hasse_quiver_of(tuple(shuffled)).arrow_names()) == named
+            pairs = [(str(a + 1), str(b + 1)) for a, b in below] + [(str(v + 1), str(v + 1)) for v in range(n)]
+            rng.shuffle(pairs)
+            assert set(hasse_reduction(pairs).arrow_names()) == named
 
 
 def test_contours_chain_empty(chain3):

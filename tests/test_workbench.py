@@ -277,6 +277,58 @@ def test_cli_byte_determinism(doc_path):
         assert a == b
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_cli_random_output_pinned(seed):
+    # holds the random generator's call sequence fixed
+    import pathlib
+
+    golden = pathlib.Path(__file__).parent / "golden" / f"random-s{seed}-n12.alg"
+    code, out, _ = run_cli(["random", "--seed", str(seed), "--n", "12"])
+    assert code == 0 and out == golden.read_bytes()
+
+
+@pytest.mark.parametrize("flags", [["--n", "0"], ["--n", "5", "--density", "0"], ["--n", "5", "--zero-rate", "2"]])
+def test_cli_random_bad_params_exit_1(flags):
+    code, out, err = run_cli(["random", "--seed", "1", *flags])
+    assert code == 1 and out == b""
+    assert err.startswith("critalg: ") and "Traceback" not in err
+
+
+def _chain_doc(tmp_path, n):
+    names = [str(k) for k in range(1, n + 1)]
+    p = tmp_path / f"chain{n}.alg"
+    p.write_text(f"algebra chain{n}\nvertices {' '.join(names)}\narrows "
+                 + " ".join(f"{k}->{k + 1}" for k in range(1, n)) + "\n")
+    return str(p)
+
+
+@pytest.mark.parametrize("command", ["gldim", "criterion"])
+def test_cli_timings_cover_the_work(command, doc_path, monkeypatch):
+    import critalg.cli as cli
+
+    clock = [100.0]
+    real = cli.build_report
+
+    def slow_build_report(*args, **kwargs):
+        clock[0] += 6.0
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli.time, "monotonic", lambda: clock[0])
+    monkeypatch.setattr(cli, "build_report", slow_build_report)
+    code, out, _ = run_cli([command, "--timings", "--json", doc_path])
+    assert code == 0 and json.loads(out)["timings_ms"] == 6000
+
+
+@pytest.mark.parametrize("command", ["gldim", "criterion"])
+def test_cli_budget_stops_the_scan(command, tmp_path):
+    # a zero budget is a budget: the scan stops at its first clock check
+    path = _chain_doc(tmp_path, 9)
+    code, _, err = run_cli([command, "--budget-seconds", "0", path])
+    assert code == 2 and "budget" in err
+    code, _, _ = run_cli([command, path])
+    assert code == 0
+
+
 def test_random_rejected_params():
     with pytest.raises(ValueError):
         RandomModel(seed=1, n=3, edge_density=0.0)
