@@ -202,7 +202,7 @@ def _dispatch(args) -> int:
         if args.strategy == "exhaustive":
             reports = find_all_critical_subcategories(algebra, budget_seconds=args.budget_seconds)
         else:
-            reports = find_critical_subcategory_guided(algebra)
+            reports = find_critical_subcategory_guided(algebra, budget_seconds=args.budget_seconds)
         suffix = "" if (algebra.validity and algebra.validity.certified) else " (uncertified hypotheses)"
         if args.json:
             import json
@@ -237,7 +237,7 @@ def _dispatch(args) -> int:
     if args.command == "compare":
         algebra = _load(args.file)
         _guard_size(algebra, args)
-        rep = oracle_compare(algebra)
+        rep = oracle_compare(algebra, budget_seconds=args.budget_seconds)
         if args.json:
             import json
 

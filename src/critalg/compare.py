@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import CritalgError
+from .errors import CritalgError, TimeBudgetExceeded
 from .criteria import (
     audit_resolution_structure,
     find_all_critical_subcategories,
@@ -52,13 +52,17 @@ def _guarded(check: CheckResult, body) -> CheckResult:
     that is a disagreement worth reporting, not a crash."""
     try:
         body(check)
+    except TimeBudgetExceeded:
+        raise
     except CritalgError as e:
         check.ok = False
         check.details.append(f"engine rejected the computation: {e}")
     return check
 
 
-def oracle_compare(algebra: SchurianAlgebra) -> ComparisonReport:
+def oracle_compare(algebra: SchurianAlgebra, *, budget_seconds: float | None = None) -> ComparisonReport:
+    """Every check of the combinatorial criteria against the engine; each of
+    the two critical searches stops past ``budget_seconds``."""
     checks = []
 
     def second_body(c):
@@ -115,7 +119,7 @@ def oracle_compare(algebra: SchurianAlgebra) -> ComparisonReport:
     checks.append(_guarded(CheckResult("pd against the opposite algebra's coresolutions", True), dual_body))
 
     def soundness_body(c):
-        reports = find_all_critical_subcategories(algebra)
+        reports = find_all_critical_subcategories(algebra, budget_seconds=budget_seconds)
         g = gl_dim(algebra)
         if not reports and g > 2:
             c.ok = False
@@ -124,7 +128,7 @@ def oracle_compare(algebra: SchurianAlgebra) -> ComparisonReport:
             c.details.append(
                 "informational: critical subcategory present with gl.dim <= 2 (the converse fails)"
             )
-        guided = find_critical_subcategory_guided(algebra)
+        guided = find_critical_subcategory_guided(algebra, budget_seconds=budget_seconds)
         exhaustive_subsets = {r.subset for r in reports}
         for r in guided:
             if r.subset not in exhaustive_subsets:

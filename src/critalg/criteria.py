@@ -8,6 +8,7 @@ minimal resolution or is confirmed by the engine before being reported.
 from __future__ import annotations
 
 import logging
+import time
 from dataclasses import dataclass
 
 from .errors import (
@@ -17,6 +18,7 @@ from .errors import (
     InvalidTemplate,
     NotAnIncidenceAlgebra,
     NotAThirdSyzygyPair,
+    TimeBudgetExceeded,
 )
 from .homology import (
     ProjResolution,
@@ -37,7 +39,7 @@ from .presentation import (
     opposite_algebra,
     second_syzygy_multiplicity,
 )
-from .quivers import Quiver, _bits, _popcount, convex_mask
+from .quivers import Quiver, _bits, _local_mask, _popcount, _sub_rows, convex_mask
 
 log = logging.getLogger(__name__)
 
@@ -159,23 +161,8 @@ def third_syzygy_test(algebra: SchurianAlgebra, i: str, j: str) -> bool:
     return _third_test_from_config(algebra, cfg)
 
 
-def _second_kernel_dims(algebra: SchurianAlgebra, i: int) -> list[int]:
-    """Vertexwise dimensions of ker f_2 from the level-two resolution terms."""
-    res = resolution_of_simple(algebra, algebra.names[i])
-    q1 = res.terms[1] if len(res.terms) > 1 else ()
-    q2 = res.terms[2] if len(res.terms) > 2 else ()
-    out = []
-    for v in range(algebra.n):
-        ker1 = sum(algebra.hom_bit(a, v) for a in q1)
-        if v != i:
-            ker1 -= algebra.hom_bit(i, v)
-        out.append(sum(algebra.hom_bit(b, v) for b in q2) - ker1)
-    return out
-
-
 def _third_test_from_config(algebra: SchurianAlgebra, cfg: SyzygyConfig) -> bool:
     jj = algebra.index[cfg.target]
-    ii = algebra.index[cfg.source]
     minimal_witness = any(
         second_syzygy_multiplicity(algebra, algebra.index[a], jj) >= 1
         for a in cfg.s_set
@@ -186,10 +173,8 @@ def _third_test_from_config(algebra: SchurianAlgebra, cfg: SyzygyConfig) -> bool
     # (this repairs the witness clause, which fails when the only relations
     # into j factor through a deeper generator)
     if count_ok and not minimal_witness:
-        kdims = _second_kernel_dims(algebra, ii)
-        zero_inflow = all(
-            kdims[z] == 0 for z in _bits(algebra.quiver.in_mask[jj])
-        )
+        syz = resolution_of_simple(algebra, cfg.source).syzygy_dims
+        zero_inflow = len(syz) < 3 or all(syz[2][z] == 0 for z in _bits(algebra.quiver.in_mask[jj]))
     else:
         zero_inflow = False
     literal_ok = cfg.monomials >= cfg.s - cfg.r + 1
@@ -431,15 +416,6 @@ class CriticalityResult:
         return self.is_critical
 
 
-def _induced(algebra: SchurianAlgebra, mask: int) -> SchurianAlgebra:
-    cache = algebra._cache.setdefault("induced", {})
-    got = cache.get(mask)
-    if got is None:
-        got = algebra.restrict_mask(mask)
-        cache[mask] = got
-    return got
-
-
 def _unique_source_sink(B: SchurianAlgebra):
     srcs = B.sources()
     snks = B.sinks()
@@ -519,22 +495,20 @@ def _satisfies_i_iv(B: SchurianAlgebra) -> tuple[bool, str, str] | None:
 
 def _i_iv_family(
     algebra: SchurianAlgebra, *, audit: bool = False, deadline: float | None = None
-) -> dict[int, tuple[str, str]]:
+) -> dict[int, tuple[SchurianAlgebra, str, str]]:
     """All vertex-subset masks whose induced algebra satisfies conditions
-    i)-iv).  The combinatorial pd screen prunes before the engine confirms;
-    with audit=True the screen is bypassed entirely."""
-    import time
-
-    from .errors import TimeBudgetExceeded
-
-    out: dict[int, tuple[str, str]] = {}
-    full = (1 << algebra.n) - 1
-    for mask in range(1, full + 1):
-        if deadline is not None and mask % 256 == 0 and time.monotonic() > deadline:
+    i)-iv), each with that algebra, its source and its sink; every other
+    induced algebra is dropped.  The combinatorial pd screen prunes before
+    the engine confirms; with audit=True the screen is bypassed entirely.
+    Past ``deadline``, a ``time.monotonic`` reading checked at every mask,
+    the scan raises TimeBudgetExceeded."""
+    out: dict[int, tuple[SchurianAlgebra, str, str]] = {}
+    for mask in range(1, 1 << algebra.n):
+        if deadline is not None and time.monotonic() > deadline:
             raise TimeBudgetExceeded("subset scan ran past the time budget")
         if _popcount(mask) < 4:
             continue
-        B = _induced(algebra, mask)
+        B = algebra.restrict_mask(mask)
         pair = _unique_source_sink(B)
         if pair is None:
             continue
@@ -542,7 +516,7 @@ def _i_iv_family(
             continue
         got = _satisfies_i_iv(B)
         if got is not None:
-            out[mask] = (got[1], got[2])
+            out[mask] = (B, got[1], got[2])
     return out
 
 
@@ -555,14 +529,16 @@ def _convex_obstruction(B: SchurianAlgebra, family_masks) -> int | None:
     return None
 
 
-def check_critical(B: SchurianAlgebra) -> CriticalityResult:
+def check_critical(B: SchurianAlgebra, *, deadline: float | None = None) -> CriticalityResult:
     """Conditions i)-iv), plus minimality over proper full convex
-    subcategories (non-convex subsets do not count against minimality)."""
+    subcategories (non-convex subsets do not count against minimality).
+    The subset scan stops with TimeBudgetExceeded past ``deadline``, a
+    ``time.monotonic`` reading."""
     got = _satisfies_i_iv(B)
     if got is None:
         return CriticalityResult(False, ("conditions i)-iv) fail for the algebra itself",))
     _, src, snk = got
-    family = _i_iv_family(B)
+    family = _i_iv_family(B, deadline=deadline)
     obstruction = _convex_obstruction(B, family)
     if obstruction is not None:
         members = ",".join(B.names[i] for i in _bits(obstruction))
@@ -595,41 +571,22 @@ class CriticalReport:
         return self.template.display if self.template else "unclassified"
 
 
-def _local_mask(parent_mask: int, sub_mask: int) -> int:
-    """Re-index a submask of an ambient vertex mask into induced positions."""
-    out = 0
-    pos = 0
-    m = parent_mask
-    i = 0
-    while m:
-        if m & 1:
-            if sub_mask >> i & 1:
-                out |= 1 << pos
-            pos += 1
-        m >>= 1
-        i += 1
-    return out
-
-
 def find_all_critical_subcategories(
     algebra: SchurianAlgebra, *, audit: bool = False, budget_seconds: float | None = None
 ) -> list[CriticalReport]:
     """Every vertex subset whose induced algebra is critical.  Subsets need
     not be convex in the ambient algebra; minimality inside each candidate is
     over its own convex subsets.  Deterministic order: by vertex-index tuple."""
-    import time
-
     deadline = time.monotonic() + budget_seconds if budget_seconds is not None else None
     family = _i_iv_family(algebra, audit=audit, deadline=deadline)
     masks = sorted(family)
     critical_masks = []
     for m in masks:
-        B = _induced(algebra, m)
         sub_family = [_local_mask(m, o) for o in masks if o != m and o & m == o]
-        if _convex_obstruction(B, sub_family) is None:
+        if _convex_obstruction(family[m][0], sub_family) is None:
             critical_masks.append(m)
     return [
-        _critical_report(_induced(algebra, mask), *family[mask])
+        _critical_report(*family[mask])
         for mask in sorted(critical_masks, key=lambda m: tuple(_bits(m)))
     ]
 
@@ -657,17 +614,21 @@ def build_critical_candidate(algebra: SchurianAlgebra, i: str, j: str) -> Schuri
     if pd_of_simple(algebra, i) != 3 or ext_dim(algebra, i, j, 3) < 1:
         raise NotAThirdSyzygyPair(f"({i}, {j}) is not a third-syzygy pair")
     ii, jj = algebra.index[str(i)], algebra.index[str(j)]
-    C = _induced(algebra, hull_mask(algebra, ii, jj))
+    C = algebra.restrict_mask(hull_mask(algebra, ii, jj))
     cfg = build_syzygy_config(C, i, j)
     keep = {str(i), str(j), *cfg.r_set, *cfg.s_set}
     mask = C.mask_of(keep)
     return C.restrict_mask(mask, label=f"{algebra.label}|candidate({i},{j})")
 
 
-def find_critical_subcategory_guided(algebra: SchurianAlgebra) -> list[CriticalReport]:
+def find_critical_subcategory_guided(
+    algebra: SchurianAlgebra, *, budget_seconds: float | None = None
+) -> list[CriticalReport]:
     """Resolution-guided search: walk (pd 3 simple, third-term summand)
     pairs and build candidates.  Complete when gl.dim >= 3; may find nothing
-    on gl.dim <= 2 inputs even when critical subcategories exist."""
+    on gl.dim <= 2 inputs even when critical subcategories exist.  The
+    candidates' minimality scans share one budget."""
+    deadline = time.monotonic() + budget_seconds if budget_seconds is not None else None
     reports = []
     seen = set()
     for i in algebra.names:
@@ -680,7 +641,7 @@ def find_critical_subcategory_guided(algebra: SchurianAlgebra) -> list[CriticalR
             if key in seen:
                 continue
             seen.add(key)
-            chk = check_critical(B)
+            chk = check_critical(B, deadline=deadline)
             if not chk:
                 log.warning(
                     "guided candidate on {%s} from (%s,%s) is not critical: %s",
@@ -750,11 +711,6 @@ def pd_spectrum_check(algebra: SchurianAlgebra) -> bool:
 # -- the incidence-algebra criterion ----------------------------------------------
 
 
-def _sub_rows(rows: list[int] | tuple[int, ...], mask: int) -> list[int]:
-    """A relation given by bit rows, restricted to the members of ``mask``."""
-    return [_local_mask(mask, rows[i]) for i in _bits(mask)]
-
-
 def igusa_zacharia(P: IncidenceQuotient) -> bool:
     """The classical incidence-algebra test: gl.dim <= 2 iff no full subposet
     is a cyclic double fan with three or more arms, and every crown-shaped
@@ -811,24 +767,19 @@ def convex_crown_witness(algebra: SchurianAlgebra) -> tuple[str, ...] | None:
     does not (and cannot cheaply) exclude these; theorems carrying the
     strong hypothesis may fail exactly on such inputs.
     """
-    from itertools import combinations
-
     n = algebra.n
     for arms in range(2, n // 2 + 1):
         size = 2 * arms
         # the crown is Q_arms without its source and sink
         target = _sub_rows(critical_template("Q", arms).hom_rows, (1 << (size + 1)) - 2)
-        for combo in combinations(range(n), size):
-            mask = 0
-            for c in combo:
-                mask |= 1 << c
+        for mask in _masks_of_size(n, size):
             if not convex_mask(algebra.reach_rows, mask):
                 continue
-            B = _induced(algebra, mask)
+            B = algebra.restrict_mask(mask)
             if len(B.quiver.arrows) != 2 * arms:
                 continue
             if are_isomorphic(B.n, list(B.hom_rows), size, target):
-                return tuple(algebra.names[c] for c in combo)
+                return B.names
     return None
 
 
@@ -846,7 +797,7 @@ def proper_subcategories_gldim_le2(algebra: SchurianAlgebra, sample_confirm: int
     for mask in range(1, full):
         if not convex_mask(algebra.reach_rows, mask):
             continue
-        B = _induced(algebra, mask)
+        B = algebra.restrict_mask(mask)
         if _gldim_le2_fast(B):
             passes.append(mask)
             continue
@@ -855,6 +806,6 @@ def proper_subcategories_gldim_le2(algebra: SchurianAlgebra, sample_confirm: int
         raise InternalError("dimension screen claimed gl.dim >= 3 falsely")
     step = max(1, len(passes) // sample_confirm) if passes else 1
     for mask in passes[::step]:
-        if gl_dim(_induced(algebra, mask)) > 2:
+        if gl_dim(algebra.restrict_mask(mask)) > 2:
             raise InternalError("dimension screen claimed gl.dim <= 2 falsely")
     return True

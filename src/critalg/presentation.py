@@ -28,7 +28,7 @@ from .errors import (
     NotAHasseDiagram,
     TriangularityViolation,
 )
-from .quivers import Quiver, _bits, _popcount, has_bypass, is_triangular, lexmin_path, transpose
+from .quivers import Quiver, _bits, _popcount, _sub_rows, has_bypass, is_triangular, lexmin_path, transpose
 
 log = logging.getLogger(__name__)
 
@@ -142,18 +142,11 @@ class SchurianAlgebra:
     # -- derived algebras ----------------------------------------------------
 
     def restrict_mask(self, mask: int, label: str = "") -> "SchurianAlgebra":
-        keep = [i for i in range(self.n) if mask >> i & 1]
-        if not keep:
+        mask &= (1 << self.n) - 1
+        if not mask:
             raise EmptySelection("empty vertex selection")
-        names = [self.names[i] for i in keep]
-        pos = {v: p for p, v in enumerate(keep)}
-        rows = []
-        for i in keep:
-            r = 0
-            for j in _bits(self.hom_rows[i] & mask):
-                r |= 1 << pos[j]
-            rows.append(r)
-        return SchurianAlgebra(names, rows, label=label)
+        names = [self.names[i] for i in _bits(mask)]
+        return SchurianAlgebra(names, _sub_rows(self.hom_rows, mask), label=label)
 
     def mask_of(self, vertices: Iterable[str]) -> int:
         mask = 0
@@ -387,17 +380,9 @@ def kill_vertices(algebra: SchurianAlgebra, victims: Iterable[str], label: str =
     if keep == 0:
         raise EmptySelection("cannot kill every vertex")
     avoid_reach = _reach_within(algebra.quiver, keep)
-    kept = [i for i in range(algebra.n) if keep >> i & 1]
-    pos = {v: p for p, v in enumerate(kept)}
-    rows = []
-    for i in kept:
-        r = 1 << pos[i]
-        for j in _bits(algebra.hom_rows[i] & keep & ~(1 << i)):
-            if avoid_reach[i] >> j & 1:
-                r |= 1 << pos[j]
-        rows.append(r)
+    rows = _sub_rows([h & r for h, r in zip(algebra.hom_rows, avoid_reach)], keep)
     return SchurianAlgebra(
-        [algebra.names[i] for i in kept], rows, label=label or f"{algebra.label}/ideal"
+        [algebra.names[i] for i in _bits(keep)], rows, label=label or f"{algebra.label}/ideal"
     )
 
 

@@ -280,6 +280,28 @@ def transpose(rows: Sequence[int]) -> list[int]:
     return cols
 
 
+def _local_mask(parent_mask: int, sub_mask: int) -> int:
+    """Re-index a submask of an ambient vertex mask into induced positions."""
+    out = 0
+    pos = 0
+    m = parent_mask
+    i = 0
+    while m:
+        if m & 1:
+            if sub_mask >> i & 1:
+                out |= 1 << pos
+            pos += 1
+        m >>= 1
+        i += 1
+    return out
+
+
+def _sub_rows(rows: Sequence[int], mask: int) -> list[int]:
+    """A relation given by bit rows, restricted to the members of ``mask``
+    and re-indexed into induced positions."""
+    return [_local_mask(mask, rows[i]) for i in _bits(mask)]
+
+
 def all_paths(quiver: Quiver, src: int, dst: int) -> list[tuple[int, ...]]:
     """All directed paths src ~> dst as vertex index tuples, in lexicographic
     order (memoized).

@@ -28,8 +28,7 @@ class ReportDocument:
     criterion: dict
     timings_ms: int = 0
     version: str = SCHEMA_VERSION
-    # display-only extras, excluded from the JSON schema and from equality
-    resolutions: tuple[str, ...] | None = None
+    # display-only, excluded from the JSON schema and from equality
     uncertified_reasons: tuple[str, ...] = ()
 
     def to_json_dict(self) -> dict:
@@ -104,8 +103,6 @@ def critical_json(r: CriticalReport) -> dict:
 
 def build_report(
     algebra: SchurianAlgebra,
-    include_resolutions: bool = False,
-    timings_ms: int = 0,
     with_criterion: bool = True,
     budget_seconds: float | None = None,
 ) -> ReportDocument:
@@ -124,9 +121,6 @@ def build_report(
     else:
         reports = []
         criterion = {"verdict": "skipped_size_cap", "critical": []}
-    resolutions = None
-    if include_resolutions:
-        resolutions = tuple(resolution_line(algebra, x) for x in algebra.names)
     reasons = ()
     if algebra.validity is not None and not algebra.validity.certified:
         reasons = algebra.validity.reasons
@@ -136,8 +130,6 @@ def build_report(
         gldim=gldim,
         simples=simples,
         criterion=criterion,
-        timings_ms=timings_ms,
-        resolutions=resolutions,
         uncertified_reasons=reasons,
     )
 
@@ -160,10 +152,6 @@ def render_report(report: ReportDocument, fmt: str = "text") -> bytes:
     lines.append("  vertex  pd  id")
     for s in report.simples:
         lines.append(f"  {s['vertex']:<6}  {s['pd']:>2}  {s['id']:>2}")
-    if report.resolutions:
-        lines.append("resolutions:")
-        for x, line in zip((s["vertex"] for s in report.simples), report.resolutions):
-            lines.append(f"  S{x}: {line}")
     crit = report.criterion
     if crit["verdict"] == "skipped_size_cap":
         lines.append("criterion: skipped (vertex count above the subset-scan cap)")

@@ -265,6 +265,28 @@ def test_criterion_on_random_certified_sample():
             assert reports
 
 
+@pytest.mark.parametrize("algebra", ["chain10", "A_5"])
+def test_scan_keeps_no_induced_algebras(algebra):
+    # the subset scan holds only the critical algebras it reports, and those
+    # are gone once it returns
+    import gc
+
+    from critalg.presentation import SchurianAlgebra
+
+    if algebra == "A_5":
+        A = critical_template("A", 5)
+    else:
+        A = from_poset(Quiver([str(k) for k in range(10)], [(str(k), str(k + 1)) for k in range(9)]))
+
+    def live():
+        gc.collect()
+        return sum(isinstance(o, SchurianAlgebra) for o in gc.get_objects())
+
+    before = live()
+    find_all_critical_subcategories(A)
+    assert live() == before
+
+
 def test_budget_abort():
     from critalg.errors import TimeBudgetExceeded
 

@@ -158,6 +158,32 @@ def test_kill_vertices_empty_set(diamond6):
         kill_vertices(diamond6, diamond6.names)
 
 
+def test_mask_reindexing_matches_brute_force(diamond6, chain6, crown, arc4, square, oracles):
+    # every vertex mask: the restriction keeps hom between survivors, and the
+    # quotient keeps it only along a skeleton path that avoids the killed set
+    corpus = [diamond6, chain6, crown, arc4, square, random_algebra(RandomModel(seed=5, n=8))]
+    for A in corpus:
+        arrows = A.quiver.arrow_names()
+        for mask in range(1 << A.n):
+            kept = [v for i, v in enumerate(A.names) if mask >> i & 1]
+            killed = [v for v in A.names if v not in kept]
+            if not kept:
+                with pytest.raises(EmptySelection):
+                    A.restrict_mask(mask)
+                with pytest.raises(EmptySelection):
+                    kill_vertices(A, killed)
+                continue
+            R = A.restrict_mask(mask)
+            K = kill_vertices(A, killed)
+            assert R.names == K.names == tuple(kept)
+            inside = [(s, t) for s, t in arrows if s in kept and t in kept]
+            for x in kept:
+                for y in kept:
+                    assert R.hom(x, y) == A.hom(x, y)
+                    avoids = x == y or oracles.reaches(inside, x, y)
+                    assert K.hom(x, y) == (A.hom(x, y) and avoids)
+
+
 def test_minimal_relation_pairs(arc4, square, chain3):
     assert minimal_relation_pairs(arc4) == {("1", "3"), ("2", "4")}
     assert minimal_relation_pairs(square) == {("1", "4")}

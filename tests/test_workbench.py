@@ -7,8 +7,9 @@ import pytest
 
 from critalg.cli import main
 from critalg.compare import oracle_compare
+from critalg.criteria import critical_template
 from critalg.errors import SpecError
-from critalg.presentation import SchurianAlgebra, from_poset
+from critalg.presentation import SchurianAlgebra, as_incidence_quotient, from_poset
 from critalg.randgen import RandomModel
 from critalg.report import (
     build_report,
@@ -319,13 +320,28 @@ def test_cli_timings_cover_the_work(command, doc_path, monkeypatch):
     assert code == 0 and json.loads(out)["timings_ms"] == 6000
 
 
-@pytest.mark.parametrize("command", ["gldim", "criterion"])
-def test_cli_budget_stops_the_scan(command, tmp_path):
+def _template_doc(tmp_path, kind, param):
+    p = tmp_path / f"{kind}_{param}.alg"
+    p.write_text(render_spec(as_incidence_quotient(critical_template(kind, param))))
+    return str(p)
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        pytest.param(["gldim"], ("chain", 9), id="gldim"),
+        pytest.param(["criterion"], ("chain", 9), id="criterion"),
+        pytest.param(["criterion"], ("chain", 7), id="criterion-chain7"),
+        pytest.param(["critical", "--strategy", "guided"], ("A", 8), id="critical-guided"),
+        pytest.param(["compare"], ("A", 5), id="compare"),
+    ],
+)
+def test_cli_budget_stops_the_scan(command, doc, tmp_path):
     # a zero budget is a budget: the scan stops at its first clock check
-    path = _chain_doc(tmp_path, 9)
-    code, _, err = run_cli([command, "--budget-seconds", "0", path])
+    path = _chain_doc(tmp_path, doc[1]) if doc[0] == "chain" else _template_doc(tmp_path, *doc)
+    code, _, err = run_cli([*command, "--budget-seconds", "0", path])
     assert code == 2 and "budget" in err
-    code, _, _ = run_cli([command, path])
+    code, _, _ = run_cli([*command, path])
     assert code == 0
 
 
