@@ -10,6 +10,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     ClassificationGap,
@@ -39,7 +40,7 @@ from .presentation import (
     opposite_algebra,
     second_syzygy_multiplicity,
 )
-from .quivers import Quiver, _bits, _local_mask, _popcount, _sub_rows, convex_mask
+from .quivers import Quiver, _bits, _local_mask, _popcount, _sub_rows, convex_mask, transpose
 
 log = logging.getLogger(__name__)
 
@@ -416,12 +417,26 @@ class CriticalityResult:
         return self.is_critical
 
 
-def _unique_source_sink(B: SchurianAlgebra):
-    srcs = B.sources()
-    snks = B.sinks()
-    if len(srcs) == 1 and len(snks) == 1 and srcs[0] != snks[0]:
-        return srcs[0], snks[0]
-    return None
+def _lone_ends(rows: Sequence[int], cols: Sequence[int], mask: int) -> tuple[int, int] | None:
+    """The lone source and lone sink of the algebra induced on ``mask``, as
+    indices into the hom rows ``rows`` and their transpose ``cols``, or None
+    unless there is exactly one of each and they differ.  Hom is triangular,
+    so a member has an in-arrow of the induced skeleton exactly when another
+    member has nonzero hom to it (and an out-arrow, dually)."""
+    src = snk = None
+    for x in _bits(mask):
+        bit = 1 << x
+        if cols[x] & mask == bit:
+            if src is not None:
+                return None
+            src = x
+        if rows[x] & mask == bit:
+            if snk is not None:
+                return None
+            snk = x
+    if src is None or snk is None or src == snk:
+        return None
+    return src, snk
 
 
 def _level2_dims(B: SchurianAlgebra, i: int) -> tuple[list[int], list[int]]:
@@ -473,51 +488,48 @@ def _resolution_partitions(B: SchurianAlgebra, res: ProjResolution) -> bool:
     return seen == set(range(B.n))
 
 
-def _satisfies_i_iv(B: SchurianAlgebra) -> tuple[bool, str, str] | None:
-    """Engine check of the four defining conditions of a critical algebra;
-    returns (True, source, sink) or None."""
-    pair = _unique_source_sink(B)
-    if pair is None:
-        return None
-    src, snk = pair
+def _satisfies_i_iv(B: SchurianAlgebra, src: str, snk: str) -> bool:
+    """Engine check of conditions ii)-iv) of a critical algebra on B, whose
+    lone source and lone sink (condition i) are ``src`` and ``snk``."""
     if not _resolution_partitions(B, resolution_of_simple(B, src)):
-        return None
+        return False
     op = opposite_algebra(B)
     if not _resolution_partitions(op, resolution_of_simple(op, snk)):
-        return None
+        return False
     for x in B.names:
         if x != src and pd_of_simple(B, x) > 2:
-            return None
+            return False
         if x != snk and idim_of_simple(B, x) > 2:
-            return None
-    return True, src, snk
+            return False
+    return True
 
 
 def _i_iv_family(
-    algebra: SchurianAlgebra, *, audit: bool = False, deadline: float | None = None
-) -> dict[int, tuple[SchurianAlgebra, str, str]]:
-    """All vertex-subset masks whose induced algebra satisfies conditions
-    i)-iv), each with that algebra, its source and its sink; every other
-    induced algebra is dropped.  The combinatorial pd screen prunes before
-    the engine confirms; with audit=True the screen is bypassed entirely.
-    Past ``deadline``, a ``time.monotonic`` reading checked at every mask,
-    the scan raises TimeBudgetExceeded."""
-    out: dict[int, tuple[SchurianAlgebra, str, str]] = {}
-    for mask in range(1, 1 << algebra.n):
+    algebra: SchurianAlgebra, masks: Iterable[int], *, audit: bool = False, deadline: float | None = None
+) -> Iterator[tuple[int, tuple[SchurianAlgebra, str, str]]]:
+    """Each of ``masks`` whose induced algebra satisfies conditions i)-iv),
+    in the order given, with that algebra, its source and its sink.  The
+    size and the lone source and sink are decided on the ambient hom rows,
+    so only the masks that pass build an induced algebra; the combinatorial
+    pd screen prunes those before the engine confirms (with audit=True the
+    screen is bypassed).  Past ``deadline``, a ``time.monotonic`` reading
+    checked at every mask, the scan raises TimeBudgetExceeded."""
+    rows = algebra.hom_rows
+    cols = transpose(rows)
+    for mask in masks:
         if deadline is not None and time.monotonic() > deadline:
             raise TimeBudgetExceeded("subset scan ran past the time budget")
         if _popcount(mask) < 4:
             continue
+        ends = _lone_ends(rows, cols, mask)
+        if ends is None:
+            continue
         B = algebra.restrict_mask(mask)
-        pair = _unique_source_sink(B)
-        if pair is None:
+        src, snk = algebra.names[ends[0]], algebra.names[ends[1]]
+        if not audit and _pd_le2_fast(B, B.index[src]):
             continue
-        if not audit and _pd_le2_fast(B, B.index[pair[0]]):
-            continue
-        got = _satisfies_i_iv(B)
-        if got is not None:
-            out[mask] = (B, got[1], got[2])
-    return out
+        if _satisfies_i_iv(B, src, snk):
+            yield mask, (B, src, snk)
 
 
 def _convex_obstruction(B: SchurianAlgebra, family_masks) -> int | None:
@@ -534,12 +546,14 @@ def check_critical(B: SchurianAlgebra, *, deadline: float | None = None) -> Crit
     subcategories (non-convex subsets do not count against minimality).
     The subset scan stops with TimeBudgetExceeded past ``deadline``, a
     ``time.monotonic`` reading."""
-    got = _satisfies_i_iv(B)
-    if got is None:
+    full = (1 << B.n) - 1
+    ends = _lone_ends(B.hom_rows, transpose(B.hom_rows), full)
+    src, snk = (B.names[ends[0]], B.names[ends[1]]) if ends else (None, None)
+    if ends is None or not _satisfies_i_iv(B, src, snk):
         return CriticalityResult(False, ("conditions i)-iv) fail for the algebra itself",))
-    _, src, snk = got
-    family = _i_iv_family(B, deadline=deadline)
-    obstruction = _convex_obstruction(B, family)
+    convex = (m for m in range(1, full) if convex_mask(B.reach_rows, m))
+    # the scan yields in mask order, so the first hit is the least obstruction
+    obstruction, _ = next(_i_iv_family(B, convex, deadline=deadline), (None, None))
     if obstruction is not None:
         members = ",".join(B.names[i] for i in _bits(obstruction))
         return CriticalityResult(
@@ -578,7 +592,7 @@ def find_all_critical_subcategories(
     not be convex in the ambient algebra; minimality inside each candidate is
     over its own convex subsets.  Deterministic order: by vertex-index tuple."""
     deadline = time.monotonic() + budget_seconds if budget_seconds is not None else None
-    family = _i_iv_family(algebra, audit=audit, deadline=deadline)
+    family = dict(_i_iv_family(algebra, range(1, 1 << algebra.n), audit=audit, deadline=deadline))
     masks = sorted(family)
     critical_masks = []
     for m in masks:

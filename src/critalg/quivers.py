@@ -15,7 +15,7 @@ from .errors import NotAPartialOrder, TriangularityViolation
 
 
 def _popcount(x: int) -> int:
-    return bin(x).count("1")
+    return x.bit_count()
 
 
 def _bits(mask: int):

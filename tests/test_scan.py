@@ -1,0 +1,187 @@
+"""The subset scan's mask-level decisions against induced algebras.
+
+The scan decides the lone source and sink of every vertex subset on the
+ambient hom rows and builds an induced algebra only for the subsets that
+pass; ``check_critical`` scans only the proper convex subsets.  The oracles
+below build the induced algebra of every subset, as the scan once did, and
+must agree with it.
+"""
+
+import random
+
+import pytest
+
+from critalg.criteria import (
+    CriticalityResult,
+    _i_iv_family,
+    _lone_ends,
+    _pd_le2_fast,
+    _satisfies_i_iv,
+    build_critical_candidate,
+    check_critical,
+    critical_template,
+    find_all_critical_subcategories,
+)
+from critalg.homology import pd_of_simple, resolution_of_simple
+from critalg.posets import hasse_quiver_of, posets_up_to_iso
+from critalg.presentation import SchurianAlgebra, from_poset
+from critalg.quivers import _bits, convex_mask, transpose
+from critalg.randgen import RandomModel, random_algebra
+
+TEMPLATES = [("A", 1), ("A", 2), ("A", 3), ("B", 1), ("B", 3), ("Q", 2), ("Q", 3)]
+
+
+def induced_ends(B):
+    """The lone source and sink of B read off its arrow skeleton, or None."""
+    srcs, snks = B.sources(), B.sinks()
+    if len(srcs) == 1 and len(snks) == 1 and srcs[0] != snks[0]:
+        return srcs[0], snks[0]
+    return None
+
+
+def shuffled_poset_algebras(rng):
+    """Every poset on at most 6 elements under a random relabelling (so index
+    order need not be a linear extension), with no zero pairs and with two
+    random zero sets."""
+    for n in range(1, 7):
+        for rows in posets_up_to_iso(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            shuffled = [0] * n
+            for v in range(n):
+                shuffled[perm[v]] = sum(1 << perm[w] for w in range(n) if rows[v] >> w & 1)
+            q = hasse_quiver_of(tuple(shuffled))
+            legal = [
+                (q.names[i], q.names[j])
+                for i in range(n)
+                for j in range(n)
+                if i != j and q.reaches(i, j) and (i, j) not in q.arrows
+            ]
+            yield from_poset(q, [])
+            for _ in range(2 if legal else 0):
+                yield from_poset(q, rng.sample(legal, rng.randint(1, len(legal))))
+
+
+def test_mask_ends_match_induced_algebras():
+    algebras = list(shuffled_poset_algebras(random.Random(5)))
+    algebras += [critical_template(k, p, opposite=o) for k, p in TEMPLATES for o in (False, True)]
+    lone = 0
+    for A in algebras:
+        rows = A.hom_rows
+        cols = transpose(rows)
+        for mask in range(1, 1 << A.n):
+            ends = _lone_ends(rows, cols, mask)
+            got = None if ends is None else (A.names[ends[0]], A.names[ends[1]])
+            assert got == induced_ends(A.restrict_mask(mask)), (A, mask)
+            lone += got is not None
+    assert lone > 0
+
+
+def _random_scan_instance():
+    return random_algebra(RandomModel(seed=3, n=9))
+
+
+@pytest.mark.parametrize("make", [lambda: critical_template("A", 5), _random_scan_instance], ids=["A_5", "random"])
+def test_scan_builds_only_masks_with_lone_ends(make, monkeypatch):
+    A = make()
+    expected = sum(
+        1
+        for mask in range(1, 1 << A.n)
+        if mask.bit_count() >= 4 and induced_ends(A.restrict_mask(mask)) is not None
+    )
+    calls = [0]
+    real = SchurianAlgebra.restrict_mask
+
+    def counting(self, mask, label=""):
+        calls[0] += 1
+        return real(self, mask, label)
+
+    monkeypatch.setattr(SchurianAlgebra, "restrict_mask", counting)
+    find_all_critical_subcategories(A)
+    assert 0 < calls[0] == expected < (1 << A.n) - 1
+
+
+def scanned_family(B):
+    """Every subset of B whose induced algebra satisfies i)-iv), in mask
+    order, found by building the induced algebra of each subset."""
+    family = []
+    for mask in range(1, 1 << B.n):
+        if mask.bit_count() < 4:
+            continue
+        C = B.restrict_mask(mask)
+        ends = induced_ends(C)
+        if ends is None or _pd_le2_fast(C, C.index[ends[0]]):
+            continue
+        if _satisfies_i_iv(C, *ends):
+            family.append(mask)
+    return family
+
+
+def scan_then_keep_convex(B, convex_family):
+    """check_critical as it was, given the proper convex members of B's
+    scanned family: report the least of them."""
+    ends = induced_ends(B)
+    if ends is None or not _satisfies_i_iv(B, *ends):
+        return CriticalityResult(False, ("conditions i)-iv) fail for the algebra itself",))
+    if convex_family:
+        members = ",".join(B.names[i] for i in _bits(convex_family[0]))
+        return CriticalityResult(False, (f"proper full convex subcategory {{{members}}} satisfies i)-iv)",), *ends)
+    return CriticalityResult(True, (), *ends)
+
+
+def guided_candidates(A):
+    """The distinct candidates the guided search builds on A."""
+    seen = {}
+    for i in A.names:
+        if pd_of_simple(A, i) != 3:
+            continue
+        for j in resolution_of_simple(A, i).support(3):
+            B = build_critical_candidate(A, i, j)
+            seen.setdefault(B.names, B)
+    return list(seen.values())
+
+
+def _catalogue_up_to(size):
+    out = []
+    for kind, params in (("A", range(1, 10)), ("B", (1, 3, 4, 5)), ("Q", range(2, 6))):
+        for p in params:
+            for opp in (False, True):
+                T = critical_template(kind, p, opposite=opp)
+                if T.n <= size:
+                    out.append(T)
+    return out
+
+
+def _random_corpus(count, sizes=(4, 5, 6, 7)):
+    seed = 0
+    out = []
+    while len(out) < count:
+        A = random_algebra(RandomModel(seed=seed, n=sizes[seed % len(sizes)]))
+        seed += 1
+        if A.validity.certified:
+            out.append(A)
+    return out
+
+
+def test_convex_first_check_critical_matches_scan_then_filter():
+    # the old check scanned every subset, then kept the proper convex ones;
+    # scanning only the proper convex subsets must find the same ones, in
+    # the same order, and give the same result
+    candidates = [B for T in _catalogue_up_to(12) for B in guided_candidates(T)]
+    assert max(B.n for B in candidates) == 12
+    for A in _random_corpus(300):
+        candidates.append(A)
+        candidates.extend(guided_candidates(A))
+    outcomes = set()
+    convex_hits = 0
+    for B in candidates:
+        full = (1 << B.n) - 1
+        convex_family = [m for m in scanned_family(B) if m != full and convex_mask(B.reach_rows, m)]
+        convex = (m for m in range(1, full) if convex_mask(B.reach_rows, m))
+        assert [m for m, _ in _i_iv_family(B, convex)] == convex_family, B
+        got = check_critical(B)
+        assert got == scan_then_keep_convex(B, convex_family), B
+        outcomes.add(got.reasons[0].split()[0] if got.reasons else "critical")
+        convex_hits += len(convex_family)
+    assert convex_hits > 0
+    assert outcomes == {"critical", "conditions"}

@@ -345,6 +345,18 @@ def test_cli_budget_stops_the_scan(command, doc, tmp_path):
     assert code == 0
 
 
+def test_cli_guided_critical_a8_is_fast(tmp_path):
+    # the minimality scan of the 11-vertex candidate visits only its convex
+    # subsets; scanning all 2^11 took about 2 s
+    import time
+
+    path = _template_doc(tmp_path, "A", 8)
+    t0 = time.monotonic()
+    code, out, _ = run_cli(["critical", "--strategy", "guided", path])
+    assert code == 0 and "A_8".encode() in out
+    assert time.monotonic() - t0 < 1.0
+
+
 def test_random_rejected_params():
     with pytest.raises(ValueError):
         RandomModel(seed=1, n=3, edge_density=0.0)
