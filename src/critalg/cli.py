@@ -225,7 +225,7 @@ def _dispatch(args) -> int:
     if args.command == "iz":
         algebra = _load(args.file)
         _guard_size(algebra, args)
-        verdict = igusa_zacharia(algebra)
+        verdict = igusa_zacharia(algebra, budget_seconds=args.budget_seconds)
         if args.json:
             import json
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -40,7 +41,7 @@ from .presentation import (
     opposite_algebra,
     second_syzygy_multiplicity,
 )
-from .quivers import Quiver, _bits, _local_mask, _popcount, _sub_rows, convex_mask, transpose
+from .quivers import Quiver, _bits, _popcount, _sub_rows, convex_mask, transpose
 
 log = logging.getLogger(__name__)
 
@@ -532,37 +533,21 @@ def _i_iv_family(
             yield mask, (B, src, snk)
 
 
-def _convex_obstruction(B: SchurianAlgebra, family_masks) -> int | None:
-    """A proper convex subset of B whose induced algebra satisfies i)-iv)."""
-    full = (1 << B.n) - 1
-    for mask in family_masks:
-        if mask != full and convex_mask(B.reach_rows, mask):
-            return mask
-    return None
+def check_critical(B: SchurianAlgebra) -> CriticalityResult:
+    """Conditions i)-iv) on B, which make B critical: they imply
+    minimality over proper full convex subcategories.
 
-
-def check_critical(B: SchurianAlgebra, *, deadline: float | None = None) -> CriticalityResult:
-    """Conditions i)-iv), plus minimality over proper full convex
-    subcategories (non-convex subsets do not count against minimality).
-    The subset scan stops with TimeBudgetExceeded past ``deadline``, a
-    ``time.monotonic`` reading."""
-    full = (1 << B.n) - 1
-    ends = _lone_ends(B.hom_rows, transpose(B.hom_rows), full)
-    src, snk = (B.names[ends[0]], B.names[ends[1]]) if ends else (None, None)
-    if ends is None or not _satisfies_i_iv(B, src, snk):
+    Let C be a full convex subcategory of B.  A vertex of B outside C that
+    lies above a vertex of C has no vertex of C above it, so restricting a
+    minimal B-resolution of a C-module gives a minimal C-resolution, and
+    Ext over C is Ext over B.  If C satisfies i)-iv) too, its source i' has
+    pd_B S_i' >= pd_C S_i' = 3, so by iv) i' is the source of B; dually the
+    sink of C is the sink of B.  Every vertex of B lies between its lone
+    source and lone sink, so the convex C holds them all and C = B."""
+    ends = _lone_ends(B.hom_rows, transpose(B.hom_rows), (1 << B.n) - 1)
+    if ends is None or not _satisfies_i_iv(B, B.names[ends[0]], B.names[ends[1]]):
         return CriticalityResult(False, ("conditions i)-iv) fail for the algebra itself",))
-    convex = (m for m in range(1, full) if convex_mask(B.reach_rows, m))
-    # the scan yields in mask order, so the first hit is the least obstruction
-    obstruction, _ = next(_i_iv_family(B, convex, deadline=deadline), (None, None))
-    if obstruction is not None:
-        members = ",".join(B.names[i] for i in _bits(obstruction))
-        return CriticalityResult(
-            False,
-            (f"proper full convex subcategory {{{members}}} satisfies i)-iv)",),
-            src,
-            snk,
-        )
-    return CriticalityResult(True, (), src, snk)
+    return CriticalityResult(True, (), B.names[ends[0]], B.names[ends[1]])
 
 
 def is_critical(B: SchurianAlgebra) -> bool:
@@ -588,21 +573,17 @@ class CriticalReport:
 def find_all_critical_subcategories(
     algebra: SchurianAlgebra, *, audit: bool = False, budget_seconds: float | None = None
 ) -> list[CriticalReport]:
-    """Every vertex subset whose induced algebra is critical.  Subsets need
-    not be convex in the ambient algebra; minimality inside each candidate is
-    over its own convex subsets.  Deterministic order: by vertex-index tuple."""
+    """Every vertex subset whose induced algebra is critical, that is,
+    satisfies i)-iv) (see ``check_critical`` for why that suffices).
+    Subsets need not be convex in the ambient algebra.  Deterministic order:
+    by vertex-index tuple."""
     deadline = time.monotonic() + budget_seconds if budget_seconds is not None else None
-    family = dict(_i_iv_family(algebra, range(1, 1 << algebra.n), audit=audit, deadline=deadline))
-    masks = sorted(family)
-    critical_masks = []
-    for m in masks:
-        sub_family = [_local_mask(m, o) for o in masks if o != m and o & m == o]
-        if _convex_obstruction(family[m][0], sub_family) is None:
-            critical_masks.append(m)
-    return [
-        _critical_report(*family[mask])
-        for mask in sorted(critical_masks, key=lambda m: tuple(_bits(m)))
+    reports = [
+        _critical_report(*hit)
+        for _, hit in _i_iv_family(algebra, range(1, 1 << algebra.n), audit=audit, deadline=deadline)
     ]
+    reports.sort(key=lambda r: tuple(algebra.index[x] for x in r.subset))
+    return reports
 
 
 def _critical_report(B: SchurianAlgebra, src: str, snk: str) -> CriticalReport:
@@ -641,7 +622,8 @@ def find_critical_subcategory_guided(
     """Resolution-guided search: walk (pd 3 simple, third-term summand)
     pairs and build candidates.  Complete when gl.dim >= 3; may find nothing
     on gl.dim <= 2 inputs even when critical subcategories exist.  The
-    candidates' minimality scans share one budget."""
+    clock is read once per new candidate: past ``budget_seconds`` the search
+    raises TimeBudgetExceeded."""
     deadline = time.monotonic() + budget_seconds if budget_seconds is not None else None
     reports = []
     seen = set()
@@ -655,7 +637,9 @@ def find_critical_subcategory_guided(
             if key in seen:
                 continue
             seen.add(key)
-            chk = check_critical(B, deadline=deadline)
+            if deadline is not None and time.monotonic() > deadline:
+                raise TimeBudgetExceeded("guided search ran past the time budget")
+            chk = check_critical(B)
             if not chk:
                 log.warning(
                     "guided candidate on {%s} from (%s,%s) is not critical: %s",
@@ -725,19 +709,23 @@ def pd_spectrum_check(algebra: SchurianAlgebra) -> bool:
 # -- the incidence-algebra criterion ----------------------------------------------
 
 
-def igusa_zacharia(P: IncidenceQuotient) -> bool:
+def igusa_zacharia(P: IncidenceQuotient, *, budget_seconds: float | None = None) -> bool:
     """The classical incidence-algebra test: gl.dim <= 2 iff no full subposet
     is a cyclic double fan with three or more arms, and every crown-shaped
-    full subposet sits inside a resolving double diamond."""
+    full subposet sits inside a resolving double diamond.  The clock is read
+    at every subset: past ``budget_seconds`` the test raises
+    TimeBudgetExceeded."""
     if not isinstance(P, IncidenceQuotient) or P.declared_zeros:
         raise NotAnIncidenceAlgebra("the test applies to incidence algebras only")
+    deadline = time.monotonic() + budget_seconds if budget_seconds is not None else None
     rows = P.reach_rows
     n = P.n
     # a Q template has no zero pairs, so its hom support is its order
     for k in range(3, (n - 2) // 2 + 1):
         fan = critical_template("Q", k).hom_rows
         size = 2 * k + 2
-        if any(are_isomorphic(size, _sub_rows(rows, m), size, fan) for m in _masks_of_size(n, size)):
+        masks = _masks_of_size(n, size, deadline)
+        if any(are_isomorphic(size, _sub_rows(rows, m), size, fan) for m in masks):
             return False
     crown = critical_template("Q", 2).hom_rows
     # two diamonds stacked through a middle element
@@ -745,7 +733,7 @@ def igusa_zacharia(P: IncidenceQuotient) -> bool:
         ["t", "l", "r", "m", "bl", "br", "b"],
         [("t", "l"), ("t", "r"), ("l", "m"), ("r", "m"), ("m", "bl"), ("m", "br"), ("bl", "b"), ("br", "b")],
     )._reach_rows
-    for mask in _masks_of_size(n, 6):
+    for mask in _masks_of_size(n, 6, deadline):
         if not are_isomorphic(6, _sub_rows(rows, mask), 6, crown):
             continue
         if not any(
@@ -757,16 +745,14 @@ def igusa_zacharia(P: IncidenceQuotient) -> bool:
     return True
 
 
-def _masks_of_size(n: int, size: int) -> list[int]:
-    from itertools import combinations
-
-    out = []
+def _masks_of_size(n: int, size: int, deadline: float | None = None) -> Iterator[int]:
+    """The masks with ``size`` of the n vertices, lazily, in combination
+    order.  Past ``deadline``, a ``time.monotonic`` reading checked at every
+    mask, raises TimeBudgetExceeded."""
     for combo in combinations(range(n), size):
-        m = 0
-        for c in combo:
-            m |= 1 << c
-        out.append(m)
-    return out
+        if deadline is not None and time.monotonic() > deadline:
+            raise TimeBudgetExceeded("subset scan ran past the time budget")
+        yield sum(1 << c for c in combo)
 
 
 # -- simple-connectedness obstruction -----------------------------------------------

@@ -2,9 +2,9 @@
 
 The scan decides the lone source and sink of every vertex subset on the
 ambient hom rows and builds an induced algebra only for the subsets that
-pass; ``check_critical`` scans only the proper convex subsets.  The oracles
-below build the induced algebra of every subset, as the scan once did, and
-must agree with it.
+pass; ``check_critical`` tests conditions i)-iv) only, since they imply
+minimality over proper convex subsets.  The oracles below build the induced
+algebra of every subset, as the scan once did, and must agree with it.
 """
 
 import random
@@ -22,7 +22,7 @@ from critalg.criteria import (
     critical_template,
     find_all_critical_subcategories,
 )
-from critalg.homology import pd_of_simple, resolution_of_simple
+from critalg.homology import idim_of_simple, minimal_injective_coresolution, pd_of_simple, resolution_of_simple
 from critalg.posets import hasse_quiver_of, posets_up_to_iso
 from critalg.presentation import SchurianAlgebra, from_poset
 from critalg.quivers import _bits, convex_mask, transpose
@@ -165,8 +165,9 @@ def _random_corpus(count, sizes=(4, 5, 6, 7)):
 
 def test_convex_first_check_critical_matches_scan_then_filter():
     # the old check scanned every subset, then kept the proper convex ones;
-    # scanning only the proper convex subsets must find the same ones, in
-    # the same order, and give the same result
+    # the scan restricted to the proper convex subsets must find the same
+    # ones, in the same order, and check_critical, which tests i)-iv) alone,
+    # must give the old result
     candidates = [B for T in _catalogue_up_to(12) for B in guided_candidates(T)]
     assert max(B.n for B in candidates) == 12
     for A in _random_corpus(300):
@@ -185,3 +186,60 @@ def test_convex_first_check_critical_matches_scan_then_filter():
         convex_hits += len(convex_family)
     assert convex_hits > 0
     assert outcomes == {"critical", "conditions"}
+
+
+def oracle_i_iv(C):
+    """Conditions i)-iv) on C, read off its skeleton and the engine: one
+    source and one sink; the resolution of the source simple and the
+    coresolution of the sink simple have length 3 with term supports that
+    partition the vertices; every other simple has pd, and id, at most 2."""
+    srcs, snks = C.sources(), C.sinks()
+    if len(srcs) != 1 or len(snks) != 1:
+        return False
+    src, snk = srcs[0], snks[0]
+    for res in (resolution_of_simple(C, src), minimal_injective_coresolution(C, snk)):
+        supports = [res.support(k) for k in range(len(res.terms))]
+        if len(supports) != 4 or sum(map(len, supports)) != C.n or set().union(*supports) != set(C.names):
+            return False
+    return all(pd_of_simple(C, x) <= 2 for x in C.names if x != src) and all(
+        idim_of_simple(C, x) <= 2 for x in C.names if x != snk
+    )
+
+
+def convex_in(C, names):
+    """No vertex of C outside ``names`` lies on a path between two inside."""
+    inside = [C.index[x] for x in names]
+    q = C.quiver
+    return not any(
+        q.reaches(s, x) and q.reaches(x, t)
+        for x in range(C.n)
+        if C.names[x] not in names
+        for s in inside
+        for t in inside
+    )
+
+
+def oracle_critical_subsets(A):
+    """The subsets of A whose induced algebra satisfies i)-iv) and has no
+    proper convex subset that does, by brute force over every mask."""
+    family = [m for m in range(1, 1 << A.n) if oracle_i_iv(A.restrict_mask(m))]
+    critical = []
+    for m in family:
+        C = A.restrict_mask(m)
+        inner = [o for o in family if o != m and o & m == o]
+        if not any(convex_in(C, {A.names[i] for i in _bits(o)}) for o in inner):
+            critical.append(tuple(A.names[i] for i in _bits(m)))
+    return sorted(critical, key=lambda sub: [A.index[x] for x in sub])
+
+
+def test_i_iv_imply_minimality():
+    # restriction to a convex subcategory keeps Ext, so a proper convex
+    # subset satisfying i)-iv) would have the algebra's source and sink and
+    # hence be everything: the scan needs no minimality check
+    for algebras in (_catalogue_up_to(10), _random_corpus(40, sizes=(8, 9))):
+        hits = 0
+        for A in algebras:
+            expected = oracle_critical_subsets(A)
+            assert [r.subset for r in find_all_critical_subcategories(A)] == expected, A
+            hits += len(expected)
+        assert hits > 0

@@ -334,6 +334,7 @@ def _template_doc(tmp_path, kind, param):
         pytest.param(["criterion"], ("chain", 7), id="criterion-chain7"),
         pytest.param(["critical", "--strategy", "guided"], ("A", 8), id="critical-guided"),
         pytest.param(["compare"], ("A", 5), id="compare"),
+        pytest.param(["iz"], ("chain", 10), id="iz"),
     ],
 )
 def test_cli_budget_stops_the_scan(command, doc, tmp_path):
@@ -346,8 +347,8 @@ def test_cli_budget_stops_the_scan(command, doc, tmp_path):
 
 
 def test_cli_guided_critical_a8_is_fast(tmp_path):
-    # the minimality scan of the 11-vertex candidate visits only its convex
-    # subsets; scanning all 2^11 took about 2 s
+    # the 11-vertex candidate is checked for i)-iv) alone, with no subset
+    # scan; scanning all 2^11 of its subsets took about 2 s
     import time
 
     path = _template_doc(tmp_path, "A", 8)
