@@ -37,7 +37,6 @@ from .presentation import (
     IncidenceQuotient,
     SchurianAlgebra,
     from_poset,
-    hull_mask,
     opposite_algebra,
     second_syzygy_multiplicity,
 )
@@ -603,17 +602,18 @@ def _critical_report(B: SchurianAlgebra, src: str, snk: str) -> CriticalReport:
 
 
 def build_critical_candidate(algebra: SchurianAlgebra, i: str, j: str) -> SchurianAlgebra:
-    """The endomorphism algebra of the projectives over {i} + S + R + {j},
-    built inside the convex hull of (i, j).  Raises NotAThirdSyzygyPair unless
-    pd of the simple at i is 3 with the projective at j in the third term."""
+    """The endomorphism algebra of the projectives over {i} + S + R + {j}.
+    Raises NotAThirdSyzygyPair unless pd of the simple at i is 3 with the
+    projective at j in the third term.
+
+    S and R lie in the convex hull of (i, j), and the resolution over the
+    hull is the ambient one restricted to it (see ``check_critical``), so
+    both are read off the ambient resolution."""
     if pd_of_simple(algebra, i) != 3 or ext_dim(algebra, i, j, 3) < 1:
         raise NotAThirdSyzygyPair(f"({i}, {j}) is not a third-syzygy pair")
-    ii, jj = algebra.index[str(i)], algebra.index[str(j)]
-    C = algebra.restrict_mask(hull_mask(algebra, ii, jj))
-    cfg = build_syzygy_config(C, i, j)
-    keep = {str(i), str(j), *cfg.r_set, *cfg.s_set}
-    mask = C.mask_of(keep)
-    return C.restrict_mask(mask, label=f"{algebra.label}|candidate({i},{j})")
+    cfg = build_syzygy_config(algebra, i, j)
+    mask = algebra.mask_of({str(i), str(j), *cfg.r_set, *cfg.s_set})
+    return algebra.restrict_mask(mask, label=f"{algebra.label}|candidate({i},{j})")
 
 
 def find_critical_subcategory_guided(
@@ -679,12 +679,13 @@ class GlDim2Verdict:
         return "certified_gldim_le_2" if self.certified_at_most_two else "critical_found"
 
 
-def gldim2_criterion(algebra: SchurianAlgebra) -> GlDim2Verdict:
+def gldim2_criterion(algebra: SchurianAlgebra, *, budget_seconds: float | None = None) -> GlDim2Verdict:
     """No critical full subcategory certifies gl.dim <= 2; finding one says
     nothing (the converse fails).  The engine's global dimension is computed
-    alongside and must agree with an absence verdict on certified inputs."""
+    alongside and must agree with an absence verdict on certified inputs.
+    Past ``budget_seconds`` the subset scan raises TimeBudgetExceeded."""
     certified = bool(algebra.validity) if algebra.validity is not None else False
-    reports = tuple(find_all_critical_subcategories(algebra))
+    reports = tuple(find_all_critical_subcategories(algebra, budget_seconds=budget_seconds))
     g = gl_dim(algebra)
     if not reports and g > 2 and certified:
         raise InternalError(

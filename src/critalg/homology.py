@@ -90,31 +90,26 @@ class RepMorphism:
                 )
 
 
+def _thin(algebra: SchurianAlgebra, dims: list[int]) -> Representation:
+    """The module with 0/1 dimensions ``dims`` and the identity on every
+    arrow between supported vertices."""
+    maps = {(u, v): [[Fraction(1)]] for (u, v) in algebra.quiver.arrows if dims[u] and dims[v]}
+    return Representation(algebra, dims, maps)
+
+
 def simple(algebra: SchurianAlgebra, x: str) -> Representation:
     i = algebra.index[str(x)]
-    dims = [0] * algebra.n
-    dims[i] = 1
-    return Representation(algebra, dims)
+    return _thin(algebra, [int(z == i) for z in range(algebra.n)])
 
 
 def projective(algebra: SchurianAlgebra, x: str) -> Representation:
     i = algebra.index[str(x)]
-    dims = [algebra.hom_bit(i, z) for z in range(algebra.n)]
-    maps = {}
-    for (u, v) in algebra.quiver.arrows:
-        if dims[u] and dims[v]:
-            maps[(u, v)] = [[Fraction(1)]]
-    return Representation(algebra, dims, maps)
+    return _thin(algebra, [algebra.hom_bit(i, z) for z in range(algebra.n)])
 
 
 def injective(algebra: SchurianAlgebra, x: str) -> Representation:
     i = algebra.index[str(x)]
-    dims = [algebra.hom_bit(z, i) for z in range(algebra.n)]
-    maps = {}
-    for (u, v) in algebra.quiver.arrows:
-        if dims[u] and dims[v]:
-            maps[(u, v)] = [[Fraction(1)]]
-    return Representation(algebra, dims, maps)
+    return _thin(algebra, [algebra.hom_bit(z, i) for z in range(algebra.n)])
 
 
 # -- radical / top / socle ----------------------------------------------------
@@ -136,10 +131,11 @@ def _radical_bases(M: Representation) -> list[Matrix]:
     return out
 
 
-def radical(M: Representation) -> Representation:
-    """rad M with the induced arrow maps."""
+def _submodule(M: Representation, bases: list[Matrix]) -> Representation:
+    """The submodule of M spanned at each vertex by the RREF rows ``bases``,
+    with the induced arrow maps.  Every arrow image is solved in the span at
+    its target, so a basis that is not a submodule raises InternalError."""
     A = M.algebra
-    bases = _radical_bases(M)
     pivots = [[next(i for i, x in enumerate(r) if x) for r in b] for b in bases]
     dims = [len(b) for b in bases]
     maps = {}
@@ -147,13 +143,15 @@ def radical(M: Representation) -> Representation:
         if dims[u] == 0 or M.dims[v] == 0:
             continue
         m = M.map(u, v)
-        cols = []
-        for row_vec in bases[u]:
-            img = mat_vec(m, row_vec)
-            cols.append(solve_in_rowspace(bases[v], pivots[v], img))
+        cols = [solve_in_rowspace(bases[v], pivots[v], mat_vec(m, b)) for b in bases[u]]
         if dims[v]:
             maps[(u, v)] = [[cols[c][r] for c in range(dims[u])] for r in range(dims[v])]
     return Representation(A, dims, maps)
+
+
+def radical(M: Representation) -> Representation:
+    """rad M with the induced arrow maps."""
+    return _submodule(M, _radical_bases(M))
 
 
 def top(M: Representation) -> dict[str, int]:
@@ -222,8 +220,11 @@ def _transport(M: Representation, v0: int, w) -> dict[int, list[Fraction]]:
     value, so the first one is taken.
     """
     A = M.algebra
+    order = A._cache.get("topo")
+    if order is None:
+        order = A._cache["topo"] = A.quiver.topological_order()
     out = {v0: [Fraction(x) for x in w]}
-    for z in A._cache.setdefault("topo", A.quiver.topological_order()):
+    for z in order:
         if z == v0 or not A.hom_bit(v0, z):
             continue
         for u in _bits(A.quiver.in_mask[z]):
@@ -233,18 +234,19 @@ def _transport(M: Representation, v0: int, w) -> dict[int, list[Fraction]]:
     return out
 
 
-def _projective_sum(algebra: SchurianAlgebra, summands: list[int]):
-    """dims and slot layout of a direct sum of indecomposable projectives."""
+def _slot_layout(algebra: SchurianAlgebra, summands) -> list[list[int]]:
+    """Slot layout of a direct sum of indecomposable projectives: per vertex,
+    the positions of the summands that are nonzero there, ascending."""
     slots = [[] for _ in range(algebra.n)]
     for c, a in enumerate(summands):
         for z in _bits(algebra.hom_rows[a]):
             slots[z].append(c)
+    return slots
+
+
+def _sum_rep(algebra: SchurianAlgebra, slots: list[list[int]]) -> Representation:
+    """The direct sum of projectives laid out by ``slots``."""
     dims = [len(s) for s in slots]
-    return dims, slots
-
-
-def _sum_rep(algebra: SchurianAlgebra, summands: list[int]) -> Representation:
-    dims, slots = _projective_sum(algebra, summands)
     maps = {}
     for (u, v) in algebra.quiver.arrows:
         if dims[u] == 0 or dims[v] == 0:
@@ -272,12 +274,11 @@ def projective_cover(M: Representation):
         for w in _complement_vectors(M.dims[v], bases[v]):
             summands.append(v)
             gens.append((v, w))
-    P = _sum_rep(A, summands)
-    _, slots = _projective_sum(A, summands)
+    slots = _slot_layout(A, summands)
     transported = [_transport(M, v, w) for v, w in gens]
     blocks = {}
     for z in range(A.n):
-        if P.dims[z] == 0:
+        if not slots[z]:
             continue
         cols = []
         for c in slots[z]:
@@ -288,9 +289,9 @@ def projective_cover(M: Representation):
                     "interval monotonicity"
                 )
             cols.append(vec)
-        blocks[z] = [[cols[c][r] for c in range(P.dims[z])] for r in range(M.dims[z])]
+        blocks[z] = [[col[r] for col in cols] for r in range(M.dims[z])]
     names = tuple(A.names[v] for v in summands)
-    return names, RepMorphism(P, M, blocks)
+    return names, RepMorphism(_sum_rep(A, slots), M, blocks)
 
 
 def kernel(f: RepMorphism) -> Representation:
@@ -301,24 +302,8 @@ def kernel(f: RepMorphism) -> Representation:
 
 
 def _kernel_with_basis(f: RepMorphism):
-    A = f.source.algebra
-    bases = []
-    for v in range(A.n):
-        if f.source.dims[v] == 0:
-            bases.append([])
-            continue
-        bases.append(nullspace(f.block(v), f.source.dims[v]))
-    pivots = [[next(i for i, x in enumerate(r) if x) for r in b] for b in bases]
-    dims = [len(b) for b in bases]
-    maps = {}
-    for (u, v) in A.quiver.arrows:
-        if dims[u] == 0 or f.source.dims[v] == 0:
-            continue
-        m = f.source.map(u, v)
-        cols = [solve_in_rowspace(bases[v], pivots[v], mat_vec(m, b)) for b in bases[u]]
-        if dims[v]:
-            maps[(u, v)] = [[cols[c][r] for c in range(dims[u])] for r in range(dims[v])]
-    return Representation(A, dims, maps), bases
+    bases = [nullspace(f.block(v), d) if d else [] for v, d in enumerate(f.source.dims)]
+    return _submodule(f.source, bases), bases
 
 
 @dataclass
@@ -336,7 +321,6 @@ class ProjResolution:
     terms: tuple[tuple[int, ...], ...]
     diffs: tuple[Matrix, ...]
     syzygy_dims: tuple[tuple[int, ...], ...]
-    complete: bool = True
 
     @property
     def length(self) -> int:
@@ -357,42 +341,34 @@ class ProjResolution:
         return set(self.term_names(k))
 
 
-def minimal_projective_resolution(
-    algebra: SchurianAlgebra, M: Representation, max_len: int | None = None
-) -> ProjResolution:
+def minimal_projective_resolution(algebra: SchurianAlgebra, M: Representation) -> ProjResolution:
     if M.is_zero():
         raise ValueError("cannot resolve the zero module")
-    cap = algebra.n if max_len is None else max_len
     label = _module_label(M)
-    simple_vertex = _simple_vertex(M)
     terms = []
     diffs = []
     syz = []
     current = M
-    basis_in_prev: list[Matrix] | None = None
+    prev_slots = basis_in_prev = None
     while True:
         names, F = projective_cover(current)
         summands = [algebra.index[x] for x in names]
+        slots = _slot_layout(algebra, summands)
         if basis_in_prev is not None:
-            diffs.append(_scalar_diff(algebra, terms[-1], summands, F, basis_in_prev))
+            diffs.append(_scalar_diff(terms[-1], prev_slots, basis_in_prev, summands, slots, F))
         terms.append(tuple(summands))
         K, bases = _kernel_with_basis(F)
         syz.append(tuple(K.dims))
         if K.is_zero():
             break
-        if len(terms) > cap:
-            if max_len is not None:
-                res = ProjResolution(
-                    algebra, label, tuple(terms), tuple(diffs), tuple(syz), complete=False
-                )
-                return res
+        if len(terms) > algebra.n:
             raise InternalError(
                 f"resolution of {label} over {algebra.label or 'algebra'} "
-                f"exceeded the length cap {cap}"
+                f"exceeded the length cap {algebra.n}"
             )
-        current = K
-        basis_in_prev = bases
+        current, prev_slots, basis_in_prev = K, slots, bases
     res = ProjResolution(algebra, label, tuple(terms), tuple(diffs), tuple(syz))
+    simple_vertex = _simple_vertex(M)
     if simple_vertex is not None:
         _assert_simple_resolution_shape(algebra, simple_vertex, res)
     return res
@@ -412,33 +388,22 @@ def _simple_vertex(M: Representation) -> int | None:
     return None
 
 
-def _scalar_diff(algebra, prev_term, new_summands, F, basis_in_prev) -> Matrix:
+def _scalar_diff(prev_term, prev_slots, basis_in_prev, summands, slots, F) -> Matrix:
     """One scalar per (previous summand, new summand): the coordinate of the
     new generator, written in the enclosing sum of projectives, at the slot of
-    the previous summand."""
-    _, prev_slots = _projective_sum(algebra, list(prev_term))
-    mat = zeros(len(prev_term), len(new_summands))
+    the previous summand.  ``prev_slots`` and ``slots`` are the slot layouts
+    of the previous and the new sum."""
+    mat = zeros(len(prev_term), len(summands))
     # column c of F at the summand's vertex, restricted to the generator slot,
     # is the new generator in syzygy coordinates; push it down to coordinates
     # of the previous sum of projectives via basis_in_prev.
-    gen_positions = _generator_positions(algebra, new_summands)
-    for c, b in enumerate(new_summands):
-        block = F.blocks[b]
-        w = [block[r][gen_positions[c]] for r in range(len(block))]
-        wq = row_times_mat(w, basis_in_prev[b])
+    for c, b in enumerate(summands):
+        g = slots[b].index(c)
+        wq = row_times_mat([row[g] for row in F.blocks[b]], basis_in_prev[b])
         for pos, prev_c in enumerate(prev_slots[b]):
             if wq[pos]:
                 mat[prev_c][c] = wq[pos]
     return mat
-
-
-def _generator_positions(algebra, summands) -> list[int]:
-    """Slot index of each summand's generator at its own vertex."""
-    _, slots = _projective_sum(algebra, list(summands))
-    out = []
-    for c, v in enumerate(summands):
-        out.append(slots[v].index(c))
-    return out
 
 
 def _assert_simple_resolution_shape(algebra, i: int, res: ProjResolution):
@@ -527,22 +492,15 @@ def dual_representation(M: Representation) -> Representation:
     return Representation(op, M.dims, maps)
 
 
-def minimal_injective_coresolution(
-    algebra: SchurianAlgebra, M: Representation | str, max_len: int | None = None
-) -> ProjResolution:
+def minimal_injective_coresolution(algebra: SchurianAlgebra, M: Representation | str) -> ProjResolution:
     """The minimal coresolution, computed as the projective resolution of the
-    dual module over the opposite algebra; terms read as injective summands."""
+    dual module over the opposite algebra; terms read as injective summands.
+    A simple, given by its vertex name, shares the opposite algebra's cache
+    of resolutions of simples."""
     op = opposite_algebra(algebra)
     if isinstance(M, str):
-        i = op.index[M]
-        key = ("res", i)
-        cached = op._cache.get(key)
-        if cached is None or max_len is not None:
-            cached = minimal_projective_resolution(op, simple(op, M), max_len=max_len)
-            if max_len is None:
-                op._cache[key] = cached
-        return cached
-    return minimal_projective_resolution(op, dual_representation(M), max_len=max_len)
+        return resolution_of_simple(op, M)
+    return minimal_projective_resolution(op, dual_representation(M))
 
 
 # -- audits -------------------------------------------------------------------
@@ -551,8 +509,8 @@ def minimal_injective_coresolution(
 def materialize_differential(res: ProjResolution, k: int) -> dict[int, Matrix]:
     """Vertexwise matrices of Q_{k+1} -> Q_k."""
     A = res.algebra
-    _, slots_prev = _projective_sum(A, list(res.terms[k]))
-    _, slots_next = _projective_sum(A, list(res.terms[k + 1]))
+    slots_prev = _slot_layout(A, res.terms[k])
+    slots_next = _slot_layout(A, res.terms[k + 1])
     scal = res.diffs[k]
     out = {}
     for v in range(A.n):
@@ -574,10 +532,7 @@ def verify_exactness(res: ProjResolution, module_dims: list[int] | None = None) 
         module_dims = [0] * A.n
         if sv is not None:
             module_dims[sv] = 1
-    dims = []
-    for term in res.terms:
-        d, _ = _projective_sum(A, list(term))
-        dims.append(d)
+    dims = [[len(s) for s in _slot_layout(A, term)] for term in res.terms]
     ranks = []
     for k in range(len(res.diffs)):
         mats = materialize_differential(res, k)

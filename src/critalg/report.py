@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .criteria import CriticalReport, find_all_critical_subcategories
+from .criteria import CriticalReport, gldim2_criterion
 from .homology import idim_of_simple, pd_of_simple, resolution_of_simple
 from .presentation import SchurianAlgebra
 
@@ -113,13 +113,9 @@ def build_report(
     ]
     gldim = max((s["pd"] for s in simples), default=0)
     if with_criterion:
-        reports = find_all_critical_subcategories(algebra, budget_seconds=budget_seconds)
-        criterion = {
-            "verdict": "certified_gldim_le_2" if not reports else "critical_found",
-            "critical": [critical_json(r) for r in reports],
-        }
+        verdict = gldim2_criterion(algebra, budget_seconds=budget_seconds)
+        criterion = {"verdict": verdict.verdict, "critical": [critical_json(r) for r in verdict.critical]}
     else:
-        reports = []
         criterion = {"verdict": "skipped_size_cap", "critical": []}
     reasons = ()
     if algebra.validity is not None and not algebra.validity.certified:

@@ -28,7 +28,8 @@ from critalg.homology import (
     verify_exactness,
     verify_minimality,
 )
-from critalg.presentation import opposite_algebra
+from critalg.presentation import from_poset, opposite_algebra
+from critalg.quivers import Quiver
 from critalg.criteria import critical_template
 from critalg.randgen import RandomModel, random_algebra
 
@@ -271,7 +272,24 @@ def test_dual_representation_round_trip(diamond6):
         assert DD.maps.get(key) == m
 
 
-def test_resolution_length_cap_truncates(diamond6):
-    res = minimal_projective_resolution(diamond6, simple(diamond6, "1"), max_len=1)
-    assert not res.complete
-    assert len(res.terms) == 2
+def test_transport_computes_one_topological_order_per_algebra(monkeypatch):
+    # generator transport walks the algebra in topological order; the order
+    # is computed once per algebra, not at every transported generator
+    real = Quiver.topological_order
+
+    def calls_to_resolve_chain(n):
+        names = [str(k) for k in range(1, n + 1)]
+        A = from_poset(Quiver(names, list(zip(names, names[1:]))))
+        calls = [0]
+
+        def counting(self):
+            calls[0] += 1
+            return real(self)
+
+        monkeypatch.setattr(Quiver, "topological_order", counting)
+        for x in A.names:
+            resolution_of_simple(A, x)
+        monkeypatch.setattr(Quiver, "topological_order", real)
+        return calls[0]
+
+    assert calls_to_resolve_chain(10) == calls_to_resolve_chain(30) <= 2

@@ -7,6 +7,7 @@ minimality over proper convex subsets.  The oracles below build the induced
 algebra of every subset, as the scan once did, and must agree with it.
 """
 
+import pathlib
 import random
 
 import pytest
@@ -18,15 +19,17 @@ from critalg.criteria import (
     _pd_le2_fast,
     _satisfies_i_iv,
     build_critical_candidate,
+    build_syzygy_config,
     check_critical,
     critical_template,
     find_all_critical_subcategories,
 )
 from critalg.homology import idim_of_simple, minimal_injective_coresolution, pd_of_simple, resolution_of_simple
 from critalg.posets import hasse_quiver_of, posets_up_to_iso
-from critalg.presentation import SchurianAlgebra, from_poset
+from critalg.presentation import SchurianAlgebra, convex_hull, from_poset
 from critalg.quivers import _bits, convex_mask, transpose
 from critalg.randgen import RandomModel, random_algebra
+from critalg.specfile import load_algebra
 
 TEMPLATES = [("A", 1), ("A", 2), ("A", 3), ("B", 1), ("B", 3), ("Q", 2), ("Q", 3)]
 
@@ -243,3 +246,44 @@ def test_i_iv_imply_minimality():
             assert [r.subset for r in find_all_critical_subcategories(A)] == expected, A
             hits += len(expected)
         assert hits > 0
+
+
+def test_iv_is_not_implied_by_ii_and_iii():
+    # the whole algebra passes ii) and iii), but id S3 = 3 breaks iv): only
+    # iv) rejects it, and without iv) the scan would report it too
+    A = load_algebra((pathlib.Path(__file__).parent / "regressions" / "iv-decides.alg").read_text())
+    res, cores = resolution_of_simple(A, "1"), minimal_injective_coresolution(A, "8")
+    assert [sorted(res.support(k), key=int) for k in range(4)] == [["1"], ["5", "7"], ["2", "4", "6"], ["3", "8"]]
+    assert [sorted(cores.support(k), key=int) for k in range(4)] == [["8"], ["2", "3", "4"], ["5", "6", "7"], ["1"]]
+    assert idim_of_simple(A, "3") == 3
+    assert not check_critical(A)
+    assert [r.subset for r in find_all_critical_subcategories(A)] == [
+        ("1", "2", "4", "5", "7", "8"),
+        ("1", "3", "6", "7"),
+        ("1", "4", "7", "8"),
+        ("1", "6", "7", "8"),
+    ]
+
+
+def hull_candidate(A, i, j):
+    """build_critical_candidate as it was: S and R read off the resolution
+    over the convex hull of (i, j)."""
+    C = convex_hull(A, i, j)
+    cfg = build_syzygy_config(C, i, j)
+    return C.restrict_mask(C.mask_of({i, j, *cfg.r_set, *cfg.s_set}), label=f"{A.label}|candidate({i},{j})")
+
+
+def test_candidate_from_ambient_resolution_matches_hull():
+    # the resolution over the convex hull of (i, j) is the ambient one
+    # restricted to the hull, so S and R can be read off the ambient one
+    corpus = [random_algebra(RandomModel(seed=seed, n=8 + seed % 4)) for seed in range(200)]
+    pairs = 0
+    for A in _catalogue_up_to(12) + corpus:
+        for i in A.names:
+            if pd_of_simple(A, i) != 3:
+                continue
+            for j in resolution_of_simple(A, i).support(3):
+                got, want = build_critical_candidate(A, i, j), hull_candidate(A, i, j)
+                assert (got.names, got.hom_rows, got.label) == (want.names, want.hom_rows, want.label), (A, i, j)
+                pairs += 1
+    assert pairs > 100

@@ -346,6 +346,18 @@ def test_cli_budget_stops_the_scan(command, doc, tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("command", ["gldim", "criterion"])
+def test_cli_reports_run_the_soundness_guard(command, tmp_path, monkeypatch):
+    # A_1 is certified with gl.dim 3; a scan that found no critical
+    # subcategory there would violate the theorem, and the report says so
+    import critalg.criteria as criteria
+
+    path = _template_doc(tmp_path, "A", 1)
+    monkeypatch.setattr(criteria, "find_all_critical_subcategories", lambda algebra, **kw: [])
+    code, out, err = run_cli([command, path])
+    assert (code, out) == (4, b"") and "no critical subcategory found but gl.dim = 3" in err
+
+
 def test_cli_guided_critical_a8_is_fast(tmp_path):
     # the 11-vertex candidate is checked for i)-iv) alone, with no subset
     # scan; scanning all 2^11 of its subsets took about 2 s
