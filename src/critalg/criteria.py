@@ -506,16 +506,23 @@ def _satisfies_i_iv(B: SchurianAlgebra, src: str, snk: str) -> bool:
 
 def _i_iv_family(
     algebra: SchurianAlgebra, masks: Iterable[int], *, audit: bool = False, deadline: float | None = None
-) -> Iterator[tuple[int, tuple[SchurianAlgebra, str, str]]]:
+) -> Iterator[tuple[int, _CriticalShape]]:
     """Each of ``masks`` whose induced algebra satisfies conditions i)-iv),
-    in the order given, with that algebra, its source and its sink.  The
-    size and the lone source and sink are decided on the ambient hom rows,
-    so only the masks that pass build an induced algebra; the combinatorial
-    pd screen prunes those before the engine confirms (with audit=True the
+    in the order given, with that algebra as a ``_CriticalShape``.  The size
+    and the lone source and sink are decided on the ambient hom rows, so
+    only the masks that pass reach an induced algebra; the combinatorial pd
+    screen prunes those before the engine confirms (with audit=True the
     screen is bypassed).  Past ``deadline``, a ``time.monotonic`` reading
-    checked at every mask, the scan raises TimeBudgetExceeded."""
+    checked at every mask, the scan raises TimeBudgetExceeded.
+
+    The induced algebra on a mask is ``_sub_rows(rows, mask)`` under the
+    members' names, and the screen, the engine, the classification and the
+    local ends read the rows alone.  So each induced shape is decided once
+    per call, keyed on those rows: its first mask builds the algebra and
+    decides it, and later masks of the shape reuse the verdict."""
     rows = algebra.hom_rows
     cols = transpose(rows)
+    shapes: dict[tuple[int, ...], _CriticalShape | None] = {}
     for mask in masks:
         if deadline is not None and time.monotonic() > deadline:
             raise TimeBudgetExceeded("subset scan ran past the time budget")
@@ -524,12 +531,26 @@ def _i_iv_family(
         ends = _lone_ends(rows, cols, mask)
         if ends is None:
             continue
-        B = algebra.restrict_mask(mask)
-        src, snk = algebra.names[ends[0]], algebra.names[ends[1]]
-        if not audit and _pd_le2_fast(B, B.index[src]):
-            continue
-        if _satisfies_i_iv(B, src, snk):
-            yield mask, (B, src, snk)
+        key = tuple(_sub_rows(rows, mask))
+        try:
+            shape = shapes[key]
+        except KeyError:
+            shape = shapes[key] = _decide_shape(algebra, mask, ends, audit)
+        if shape is not None:
+            yield mask, shape
+
+
+def _decide_shape(algebra: SchurianAlgebra, mask: int, ends: tuple[int, int], audit: bool) -> _CriticalShape | None:
+    """The induced algebra on ``mask``, whose lone ends are the ambient
+    indices ``ends``, as a ``_CriticalShape`` if it satisfies i)-iv), else
+    None."""
+    B = algebra.restrict_mask(mask)
+    src, snk = algebra.names[ends[0]], algebra.names[ends[1]]
+    if not audit and _pd_le2_fast(B, B.index[src]):
+        return None
+    if not _satisfies_i_iv(B, src, snk):
+        return None
+    return _critical_shape(B, src, snk)
 
 
 def check_critical(B: SchurianAlgebra) -> CriticalityResult:
@@ -569,6 +590,28 @@ class CriticalReport:
         return self.template.display if self.template else "unclassified"
 
 
+@dataclass(frozen=True)
+class _CriticalShape:
+    """A critical algebra up to the names of its vertices: its template
+    (None when unclassified), and its source, its sink and the terms of its
+    source simple's resolution as vertex indices."""
+
+    template: CriticalTemplate | None
+    source: int
+    sink: int
+    terms: tuple[tuple[int, ...], ...]
+
+    def report(self, names: Sequence[str]) -> CriticalReport:
+        """The report on this shape with its vertices named ``names``."""
+        return CriticalReport(
+            subset=tuple(names),
+            template=self.template,
+            source=names[self.source],
+            sink=names[self.sink],
+            resolution_terms=tuple(tuple(names[v] for v in term) for term in self.terms),
+        )
+
+
 def find_all_critical_subcategories(
     algebra: SchurianAlgebra, *, audit: bool = False, budget_seconds: float | None = None
 ) -> list[CriticalReport]:
@@ -577,28 +620,27 @@ def find_all_critical_subcategories(
     Subsets need not be convex in the ambient algebra.  Deterministic order:
     by vertex-index tuple."""
     deadline = time.monotonic() + budget_seconds if budget_seconds is not None else None
+    names = algebra.names
     reports = [
-        _critical_report(*hit)
-        for _, hit in _i_iv_family(algebra, range(1, 1 << algebra.n), audit=audit, deadline=deadline)
+        shape.report([names[i] for i in _bits(mask)])
+        for mask, shape in _i_iv_family(algebra, range(1, 1 << algebra.n), audit=audit, deadline=deadline)
     ]
     reports.sort(key=lambda r: tuple(algebra.index[x] for x in r.subset))
     return reports
 
 
-def _critical_report(B: SchurianAlgebra, src: str, snk: str) -> CriticalReport:
-    """The report on a critical algebra B with the given source and sink."""
+def _critical_shape(B: SchurianAlgebra, src: str, snk: str) -> _CriticalShape:
+    """The shape of a critical algebra B with the given source and sink."""
     try:
         tpl = classify_critical(B)
     except ClassificationGap:
         tpl = None
-    res = resolution_of_simple(B, src)
-    return CriticalReport(
-        subset=B.names,
-        template=tpl,
-        source=src,
-        sink=snk,
-        resolution_terms=tuple(res.term_names(k) for k in range(len(res.terms))),
-    )
+    return _CriticalShape(tpl, B.index[src], B.index[snk], resolution_of_simple(B, src).terms)
+
+
+def _critical_report(B: SchurianAlgebra, src: str, snk: str) -> CriticalReport:
+    """The report on a critical algebra B with the given source and sink."""
+    return _critical_shape(B, src, snk).report(B.names)
 
 
 def build_critical_candidate(algebra: SchurianAlgebra, i: str, j: str) -> SchurianAlgebra:
@@ -713,7 +755,8 @@ def pd_spectrum_check(algebra: SchurianAlgebra) -> bool:
 def igusa_zacharia(P: IncidenceQuotient, *, budget_seconds: float | None = None) -> bool:
     """The classical incidence-algebra test: gl.dim <= 2 iff no full subposet
     is a cyclic double fan with three or more arms, and every crown-shaped
-    full subposet sits inside a resolving double diamond.  The clock is read
+    full subposet sits inside a resolving double diamond.  Each induced
+    shape is tested against each pattern once per call.  The clock is read
     at every subset: past ``budget_seconds`` the test raises
     TimeBudgetExceeded."""
     if not isinstance(P, IncidenceQuotient) or P.declared_zeros:
@@ -724,9 +767,8 @@ def igusa_zacharia(P: IncidenceQuotient, *, budget_seconds: float | None = None)
     # a Q template has no zero pairs, so its hom support is its order
     for k in range(3, (n - 2) // 2 + 1):
         fan = critical_template("Q", k).hom_rows
-        size = 2 * k + 2
-        masks = _masks_of_size(n, size, deadline)
-        if any(are_isomorphic(size, _sub_rows(rows, m), size, fan) for m in masks):
+        tested: dict[tuple[int, ...], bool] = {}
+        if any(_isomorphic_once(tested, rows, m, fan) for m in _masks_of_size(n, 2 * k + 2, deadline)):
             return False
     crown = critical_template("Q", 2).hom_rows
     # two diamonds stacked through a middle element
@@ -734,16 +776,31 @@ def igusa_zacharia(P: IncidenceQuotient, *, budget_seconds: float | None = None)
         ["t", "l", "r", "m", "bl", "br", "b"],
         [("t", "l"), ("t", "r"), ("l", "m"), ("r", "m"), ("m", "bl"), ("m", "br"), ("bl", "b"), ("br", "b")],
     )._reach_rows
+    crowns: dict[tuple[int, ...], bool] = {}
+    resolvers: dict[tuple[int, ...], bool] = {}
     for mask in _masks_of_size(n, 6, deadline):
-        if not are_isomorphic(6, _sub_rows(rows, mask), 6, crown):
+        if not _isomorphic_once(crowns, rows, mask, crown):
             continue
         if not any(
-            are_isomorphic(7, _sub_rows(rows, mask | 1 << w), 7, resolving)
+            _isomorphic_once(resolvers, rows, mask | 1 << w, resolving)
             for w in range(n)
             if not mask >> w & 1
         ):
             return False
     return True
+
+
+def _isomorphic_once(
+    tested: dict[tuple[int, ...], bool], rows: Sequence[int], mask: int, target: Sequence[int]
+) -> bool:
+    """Whether the relation ``rows`` restricted to ``mask`` is isomorphic to
+    ``target``.  ``tested`` holds the answer for every induced shape already
+    tested against ``target``, so each shape is tested once."""
+    key = tuple(_sub_rows(rows, mask))
+    found = tested.get(key)
+    if found is None:
+        found = tested[key] = are_isomorphic(len(key), key, len(target), target)
+    return found
 
 
 def _masks_of_size(n: int, size: int, deadline: float | None = None) -> Iterator[int]:

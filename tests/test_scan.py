@@ -1,19 +1,22 @@
 """The subset scan's mask-level decisions against induced algebras.
 
 The scan decides the lone source and sink of every vertex subset on the
-ambient hom rows and builds an induced algebra only for the subsets that
-pass; ``check_critical`` tests conditions i)-iv) only, since they imply
-minimality over proper convex subsets.  The oracles below build the induced
-algebra of every subset, as the scan once did, and must agree with it.
+ambient hom rows, and builds an induced algebra only for the first subset
+of each induced shape that passes; ``check_critical`` tests conditions
+i)-iv) only, since they imply minimality over proper convex subsets.  The
+oracles below build the induced algebra of every subset, as the scan once
+did, and must agree with it.
 """
 
 import pathlib
 import random
+from itertools import combinations
 
 import pytest
 
 from critalg.criteria import (
     CriticalityResult,
+    _critical_report,
     _i_iv_family,
     _lone_ends,
     _pd_le2_fast,
@@ -23,11 +26,13 @@ from critalg.criteria import (
     check_critical,
     critical_template,
     find_all_critical_subcategories,
+    igusa_zacharia,
 )
 from critalg.homology import idim_of_simple, minimal_injective_coresolution, pd_of_simple, resolution_of_simple
+from critalg.iso import are_isomorphic
 from critalg.posets import hasse_quiver_of, posets_up_to_iso
 from critalg.presentation import SchurianAlgebra, convex_hull, from_poset
-from critalg.quivers import _bits, convex_mask, transpose
+from critalg.quivers import Quiver, _bits, _sub_rows, convex_mask, transpose
 from critalg.randgen import RandomModel, random_algebra
 from critalg.specfile import load_algebra
 
@@ -84,14 +89,35 @@ def _random_scan_instance():
     return random_algebra(RandomModel(seed=3, n=9))
 
 
-@pytest.mark.parametrize("make", [lambda: critical_template("A", 5), _random_scan_instance], ids=["A_5", "random"])
-def test_scan_builds_only_masks_with_lone_ends(make, monkeypatch):
+def _chain(n):
+    return from_poset(Quiver([str(k) for k in range(n)], [(str(k), str(k + 1)) for k in range(n - 1)]))
+
+
+def induced_shapes(A):
+    """The distinct hom rows of the algebras induced on subsets with at least
+    four members and a lone source and sink, by building every one."""
+    shapes = set()
+    for mask in range(1, 1 << A.n):
+        if mask.bit_count() >= 4:
+            B = A.restrict_mask(mask)
+            if induced_ends(B) is not None:
+                shapes.add(B.hom_rows)
+    return shapes
+
+
+@pytest.mark.parametrize(
+    "make, shapes",
+    [(lambda: critical_template("A", 5), 9), (_random_scan_instance, 4), (lambda: _chain(16), 13)],
+    ids=["A_5", "random", "chain16"],
+)
+def test_scan_builds_one_algebra_per_shape(make, shapes, monkeypatch):
+    # the scan decides each induced shape once: it builds one algebra per
+    # distinct hom rows among the subsets with lone ends.  Every subset of a
+    # chain is a chain, so the 16-chain has one shape per size from 4 to 16
+    # (brute force there would build 64 839 algebras)
     A = make()
-    expected = sum(
-        1
-        for mask in range(1, 1 << A.n)
-        if mask.bit_count() >= 4 and induced_ends(A.restrict_mask(mask)) is not None
-    )
+    if A.n < 16:
+        assert len(induced_shapes(A)) == shapes
     calls = [0]
     real = SchurianAlgebra.restrict_mask
 
@@ -101,13 +127,13 @@ def test_scan_builds_only_masks_with_lone_ends(make, monkeypatch):
 
     monkeypatch.setattr(SchurianAlgebra, "restrict_mask", counting)
     find_all_critical_subcategories(A)
-    assert 0 < calls[0] == expected < (1 << A.n) - 1
+    assert calls[0] == shapes
 
 
-def scanned_family(B):
+def induced_i_iv(B):
     """Every subset of B whose induced algebra satisfies i)-iv), in mask
-    order, found by building the induced algebra of each subset."""
-    family = []
+    order, with that algebra and its source and sink, found by building the
+    induced algebra of each subset."""
     for mask in range(1, 1 << B.n):
         if mask.bit_count() < 4:
             continue
@@ -116,8 +142,66 @@ def scanned_family(B):
         if ends is None or _pd_le2_fast(C, C.index[ends[0]]):
             continue
         if _satisfies_i_iv(C, *ends):
-            family.append(mask)
-    return family
+            yield mask, C, ends
+
+
+def scanned_family(B):
+    """The masks of ``induced_i_iv``."""
+    return [mask for mask, _, _ in induced_i_iv(B)]
+
+
+def per_mask_reports(A):
+    """find_all_critical_subcategories with no shape shared between masks:
+    every subset in A's scanned family has its own induced algebra and
+    report."""
+    reports = [_critical_report(C, *ends) for _, C, ends in induced_i_iv(A)]
+    return sorted(reports, key=lambda r: [A.index[x] for x in r.subset])
+
+
+def test_scan_decides_each_shape_as_every_mask_would():
+    # a mask reuses the verdict of the first mask with the same induced hom
+    # rows; the reports must be those of each mask's own induced algebra
+    corpus = _catalogue_up_to(12) + list(shuffled_poset_algebras(random.Random(5)))
+    corpus += [random_algebra(RandomModel(seed=seed, n=9 + seed % 4)) for seed in range(8)]
+    hits = shapes = 0
+    for A in corpus:
+        want = per_mask_reports(A)
+        assert find_all_critical_subcategories(A) == want, A
+        assert find_all_critical_subcategories(A, audit=True) == want, A
+        hits += len(want)
+        shapes += len({tuple(_sub_rows(A.hom_rows, A.mask_of(r.subset))) for r in want})
+    assert hits > 2 * shapes > 0
+
+
+def iz_per_mask(P):
+    """igusa_zacharia with every subset tested afresh against its pattern."""
+    rows, n = P.reach_rows, P.n
+    for k in range(3, (n - 2) // 2 + 1):
+        fan, size = critical_template("Q", k).hom_rows, 2 * k + 2
+        for combo in combinations(range(n), size):
+            if are_isomorphic(size, _sub_rows(rows, sum(1 << c for c in combo)), size, fan):
+                return False
+    crown = critical_template("Q", 2).hom_rows
+    resolving = Quiver(
+        ["t", "l", "r", "m", "bl", "br", "b"],
+        [("t", "l"), ("t", "r"), ("l", "m"), ("r", "m"), ("m", "bl"), ("m", "br"), ("bl", "b"), ("br", "b")],
+    )._reach_rows
+    for combo in combinations(range(n), 6):
+        mask = sum(1 << c for c in combo)
+        if are_isomorphic(6, _sub_rows(rows, mask), 6, crown) and not any(
+            are_isomorphic(7, _sub_rows(rows, mask | 1 << w), 7, resolving) for w in range(n) if not mask >> w & 1
+        ):
+            return False
+    return True
+
+
+def test_iz_tests_each_shape_as_every_mask_would():
+    posets = [from_poset(hasse_quiver_of(rows), []) for n in range(1, 8) for rows in posets_up_to_iso(n)]
+    posets += [critical_template("Q", k) for k in (3, 4)]
+    posets += [random_algebra(RandomModel(seed=seed, n=8 + seed % 4, zero_rate=0)) for seed in range(12)]
+    verdicts = [igusa_zacharia(P) for P in posets]
+    assert verdicts == [iz_per_mask(P) for P in posets]
+    assert len(set(verdicts)) == 2
 
 
 def scan_then_keep_convex(B, convex_family):

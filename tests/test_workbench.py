@@ -346,6 +346,12 @@ def test_cli_budget_stops_the_scan(command, doc, tmp_path):
     assert code == 0
 
 
+def test_cli_budget_stops_the_forced_scan(tmp_path):
+    # past the size cap a zero budget still stops the scan before any mask
+    code, _, err = run_cli(["criterion", "--force", "--budget-seconds", "0", _chain_doc(tmp_path, 20)])
+    assert code == 2 and "budget" in err
+
+
 @pytest.mark.parametrize("command", ["gldim", "criterion"])
 def test_cli_reports_run_the_soundness_guard(command, tmp_path, monkeypatch):
     # A_1 is certified with gl.dim 3; a scan that found no critical
