@@ -17,6 +17,7 @@ from .errors import (
     NotAMorphism,
     NotAnIncidenceAlgebra,
     NotAPartialOrder,
+    NotIntervalMonotone,
     NotAThirdSyzygyPair,
     SpecError,
     TriangularityViolation,

@@ -124,8 +124,15 @@ def _emit(data: bytes):
     sys.stdout.buffer.flush()
 
 
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # one parser per process: building it costs far more than a parse
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return _dispatch(args)
     except SpecError as e:

@@ -389,14 +389,27 @@ def _candidates_for_size(n: int) -> list[CriticalTemplate]:
     return out
 
 
+# hom rows of each catalogue template built so far, keyed by (kind, param,
+# opposite); rows only, so that no algebra stays alive
+_TEMPLATE_ROWS: dict[tuple[str, int, bool], tuple[int, ...]] = {}
+
+
+def _template_rows(kind: str, param: int, opposite: bool) -> tuple[int, ...]:
+    key = (kind, param, opposite)
+    rows = _TEMPLATE_ROWS.get(key)
+    if rows is None:
+        rows = _TEMPLATE_ROWS[key] = critical_template(kind, param, opposite=opposite).hom_rows
+    return rows
+
+
 def classify_critical(B: SchurianAlgebra) -> CriticalTemplate:
     """Identify a critical algebra in the catalogue, up to isomorphism and
     opposite.  A miss raises ClassificationGap (a genuine finding, not a user
     error)."""
     for cand in _candidates_for_size(B.n):
         for opp in (False, True):
-            tpl = critical_template(cand.kind, cand.param, opposite=opp)
-            if are_isomorphic(B.n, list(B.hom_rows), tpl.n, list(tpl.hom_rows)):
+            rows = _template_rows(cand.kind, cand.param, opp)
+            if are_isomorphic(B.n, list(B.hom_rows), len(rows), list(rows)):
                 return CriticalTemplate(cand.kind, cand.param, opp)
     raise ClassificationGap(
         f"critical algebra on {B.n} vertices matches no catalogue template"
@@ -766,11 +779,11 @@ def igusa_zacharia(P: IncidenceQuotient, *, budget_seconds: float | None = None)
     n = P.n
     # a Q template has no zero pairs, so its hom support is its order
     for k in range(3, (n - 2) // 2 + 1):
-        fan = critical_template("Q", k).hom_rows
+        fan = _template_rows("Q", k, False)
         tested: dict[tuple[int, ...], bool] = {}
         if any(_isomorphic_once(tested, rows, m, fan) for m in _masks_of_size(n, 2 * k + 2, deadline)):
             return False
-    crown = critical_template("Q", 2).hom_rows
+    crown = _template_rows("Q", 2, False)
     # two diamonds stacked through a middle element
     resolving = Quiver(
         ["t", "l", "r", "m", "bl", "br", "b"],
@@ -829,7 +842,7 @@ def convex_crown_witness(algebra: SchurianAlgebra) -> tuple[str, ...] | None:
     for arms in range(2, n // 2 + 1):
         size = 2 * arms
         # the crown is Q_arms without its source and sink
-        target = _sub_rows(critical_template("Q", arms).hom_rows, (1 << (size + 1)) - 2)
+        target = _sub_rows(_template_rows("Q", arms, False), (1 << (size + 1)) - 2)
         for mask in _masks_of_size(n, size):
             if not convex_mask(algebra.reach_rows, mask):
                 continue

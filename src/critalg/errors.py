@@ -9,6 +9,10 @@ class TriangularityViolation(CritalgError):
     """A directed cycle was found where an acyclic quiver is required."""
 
 
+class NotIntervalMonotone(CritalgError):
+    """A hom support with hom(x,z) = 1 but a zero hom on the way from x to z."""
+
+
 class NotAPartialOrder(CritalgError):
     """The given relation is not antisymmetric."""
 

@@ -1,11 +1,16 @@
 """Exact-arithmetic homology engine for schurian algebras.
 
-Modules are representations: a dimension per vertex and a rational matrix per
-arrow.  Minimal projective resolutions are computed by iterating projective
-cover and kernel; differentials are stored as one scalar per summand pair
-(hom spaces between indecomposable projectives are at most one-dimensional),
-and vertexwise matrices are materialized only inside kernel computations and
-exactness audits.
+The minimal projective resolution of a simple is computed on scalar
+matrices alone (``_resolve_simple``).  Hom spaces between indecomposable
+projectives are at most one-dimensional, so a map between sums of them is
+one scalar per summand pair, and every syzygy is a subspace of the
+coordinates of its term: at a vertex z, the summands b with hom(b, z) = 1.
+Radicals, generators and kernels are then row reductions of those scalars.
+
+Other modules are representations: a dimension per vertex and a rational
+matrix per arrow.  They are resolved by iterating projective cover and
+kernel (``_resolve_by_covers``), the loop that the scalar engine is tested
+against.
 
 The ground field is the rationals: all structure constants here are 0 or 1,
 so the computed dimensions are characteristic-free, and exact elimination
@@ -90,26 +95,25 @@ class RepMorphism:
                 )
 
 
-def _thin(algebra: SchurianAlgebra, dims: list[int]) -> Representation:
-    """The module with 0/1 dimensions ``dims`` and the identity on every
-    arrow between supported vertices."""
-    maps = {(u, v): [[Fraction(1)]] for (u, v) in algebra.quiver.arrows if dims[u] and dims[v]}
-    return Representation(algebra, dims, maps)
+def _thin(algebra: SchurianAlgebra, mask: int) -> Representation:
+    """The module with dimension 1 on the vertices of ``mask``, 0 elsewhere,
+    and the identity on every arrow between them."""
+    out_mask = algebra.quiver.out_mask
+    maps = {(u, v): [[Fraction(1)]] for u in _bits(mask) for v in _bits(out_mask[u] & mask)}
+    return Representation(algebra, [mask >> z & 1 for z in range(algebra.n)], maps)
 
 
 def simple(algebra: SchurianAlgebra, x: str) -> Representation:
-    i = algebra.index[str(x)]
-    return _thin(algebra, [int(z == i) for z in range(algebra.n)])
+    return _thin(algebra, 1 << algebra.index[str(x)])
 
 
 def projective(algebra: SchurianAlgebra, x: str) -> Representation:
-    i = algebra.index[str(x)]
-    return _thin(algebra, [algebra.hom_bit(i, z) for z in range(algebra.n)])
+    return _thin(algebra, algebra.hom_rows[algebra.index[str(x)]])
 
 
 def injective(algebra: SchurianAlgebra, x: str) -> Representation:
     i = algebra.index[str(x)]
-    return _thin(algebra, [algebra.hom_bit(z, i) for z in range(algebra.n)])
+    return _thin(algebra, sum(1 << z for z in range(algebra.n) if algebra.hom_bit(z, i)))
 
 
 # -- radical / top / socle ----------------------------------------------------
@@ -342,8 +346,95 @@ class ProjResolution:
 
 
 def minimal_projective_resolution(algebra: SchurianAlgebra, M: Representation) -> ProjResolution:
+    """A simple is resolved on scalar matrices by ``_resolve_simple``; any
+    other module by iterating projective cover and kernel."""
     if M.is_zero():
         raise ValueError("cannot resolve the zero module")
+    i = _simple_vertex(M)
+    if i is None:
+        return _resolve_by_covers(algebra, M)
+    res = _resolve_simple(algebra, i)
+    _assert_simple_resolution_shape(algebra, i, res)
+    return res
+
+
+def _resolve_simple(algebra: SchurianAlgebra, i: int) -> ProjResolution:
+    """The minimal projective resolution of the simple at i, on scalars alone.
+
+    Each term is a sum of thin projectives P_b, and its coordinates at a
+    vertex z are the summands b with hom(b, z) = 1.  The syzygy at z is kept
+    as an RREF row basis over all of the term's summands, zero off those
+    coordinates.  An arrow into z keeps the coordinates present at both ends,
+    so the radical of the syzygy at z is spanned by the basis vectors at z's
+    in-neighbours, read at the pivot columns of the basis at z: that reading
+    gives their coordinates in the basis, and it drops the coordinates absent
+    at z.  The basis vectors off the radical's pivots complete it and
+    generate the top; each is a summand P_z of the next term and the column
+    of the differential into this one.  The next syzygy at y is the nullspace
+    of that differential on the rows and columns present at y.  The radical
+    lies in the syzygy because the hom support is interval-monotone.
+    """
+    rows, in_mask, n = algebra.hom_rows, algebra.quiver.in_mask, algebra.n
+    zero, one = Fraction(0), Fraction(1)
+    summands = (i,)
+    syzygy = {y: [[one]] for y in _bits(rows[i] & ~(1 << i))}
+    terms, diffs, syz = [summands], [], [_dims(syzygy, n)]
+    while syzygy:
+        if len(terms) > n:
+            raise InternalError(
+                f"resolution of S{algebra.names[i]} over {algebra.label or 'algebra'} "
+                f"exceeded the length cap {n}"
+            )
+        new, gens = [], []
+        for z, basis in syzygy.items():
+            pivots = [next(g for g, x in enumerate(v) if x) for v in basis]
+            rad = [[v[p] for p in pivots] for u in _bits(in_mask[z]) for v in syzygy.get(u, ())]
+            if len(basis) == 1:
+                taken = (0,) if any(r[0] for r in rad) else ()
+            else:
+                taken = set(rref(rad)[1])
+            for c, v in enumerate(basis):
+                if c not in taken:
+                    new.append(z)
+                    gens.append(v)
+        diffs.append([[v[g] for v in gens] for g in range(len(summands))])
+        support = 0
+        for z in new:
+            support |= rows[z]
+        nxt = {}
+        for y in _bits(support):
+            rs = [g for g, b in enumerate(summands) if rows[b] >> y & 1]
+            cs = [c for c, z in enumerate(new) if rows[z] >> y & 1]
+            mat = [[gens[c][g] for c in cs] for g in rs]
+            if len(cs) == 1:
+                ker = [] if any(r[0] for r in mat) else [[one]]
+            else:
+                ker = nullspace(mat, len(cs))
+            basis = []
+            for v in ker:
+                full = [zero] * len(new)
+                for c, x in zip(cs, v):
+                    full[c] = x
+                basis.append(full)
+            if basis:
+                nxt[y] = basis
+        summands, syzygy = tuple(new), nxt
+        terms.append(summands)
+        syz.append(_dims(syzygy, n))
+    return ProjResolution(algebra, f"S{algebra.names[i]}", tuple(terms), tuple(diffs), tuple(syz))
+
+
+def _dims(syzygy: dict[int, Matrix], n: int) -> tuple[int, ...]:
+    dims = [0] * n
+    for y, basis in syzygy.items():
+        dims[y] = len(basis)
+    return tuple(dims)
+
+
+def _resolve_by_covers(algebra: SchurianAlgebra, M: Representation) -> ProjResolution:
+    """The minimal resolution of any nonzero module, by projective cover and
+    kernel on representations; the reference that ``_resolve_simple`` is
+    tested against."""
     label = _module_label(M)
     terms = []
     diffs = []
@@ -438,9 +529,11 @@ def resolution_of_simple(algebra: SchurianAlgebra, x: str) -> ProjResolution:
     key = ("res", i)
     cached = algebra._cache.get(key)
     if cached is None:
-        cached = minimal_projective_resolution(algebra, simple(algebra, x))
-        algebra._cache[key] = cached
-    return cached
+        res = minimal_projective_resolution(algebra, simple(algebra, x))
+        # the cache keeps the fields alone: a resolution refers to its algebra
+        algebra._cache[key] = (res.resolved, res.terms, res.diffs, res.syzygy_dims)
+        return res
+    return ProjResolution(algebra, *cached)
 
 
 def pd(algebra: SchurianAlgebra, M: Representation) -> int:

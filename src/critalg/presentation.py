@@ -18,6 +18,7 @@ complete description.
 from __future__ import annotations
 
 import logging
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -26,6 +27,7 @@ from .errors import (
     EmptySelection,
     MalformedRelation,
     NotAHasseDiagram,
+    NotIntervalMonotone,
     TriangularityViolation,
 )
 from .quivers import Quiver, _bits, _popcount, _sub_rows, has_bypass, is_triangular, lexmin_path, transpose
@@ -53,10 +55,22 @@ class SchurianAlgebra:
     ``hom_rows[x]`` has bit y set iff the hom space from x to y is nonzero.
     The quiver is the arrow skeleton derived from hom; zero pairs are the
     skeleton-connected pairs with hom 0.
+
+    The support must be interval-monotone: hom(x,z) = 1 forces
+    hom(x,y) = hom(y,z) = 1 for every y between x and z.  The constructor
+    checks this unless ``monotone`` vouches for it.  Three constructions are
+    monotone by construction and skip the check:
+
+    * the domination rule of ``from_poset``: if y lies between x and z and
+      a zero pair (s,t) has x ~> s and t ~> y (or y ~> s and t ~> z), then it
+      also has x ~> s and t ~> z, so hom(x,z) = 0;
+    * ``restrict_mask``: hom only loses pairs, so the intervals of the
+      restriction lie in those of the ambient algebra;
+    * ``opposite_algebra``: the condition reads the same in the opposite.
     """
 
     def __init__(self, names: Sequence[str], hom_rows: Sequence[int], label: str = "",
-                 validity: Validity | None = None):
+                 validity: Validity | None = None, monotone: bool = False):
         self.names = tuple(str(v) for v in names)
         if len(set(self.names)) != len(self.names):
             raise ValueError("duplicate vertex names")
@@ -70,6 +84,8 @@ class SchurianAlgebra:
             if not self.hom_rows[i] >> i & 1:
                 raise ValueError(f"hom({self.names[i]},{self.names[i]}) must be 1")
         self._check_acyclic()
+        if not monotone:
+            self._check_monotone()
 
     # -- construction helpers ---------------------------------------------
 
@@ -82,6 +98,24 @@ class SchurianAlgebra:
                         f"hom is nonzero both ways between {self.names[i]} and {self.names[j]}"
                     )
         self.quiver.topological_order()
+
+    def _check_monotone(self):
+        # a skeleton path from y to z meets every vertex between them, so it
+        # suffices that hom(x,y) = 0 with x ~> y stays zero one arrow beyond
+        # y; the transpose checks hom(y,z) one arrow before y alike
+        q, names = self.quiver, self.names
+        for flip, rows, reach, step in ((False, self.hom_rows, self.reach_rows, q.out_mask),
+                                        (True, transpose(self.hom_rows), transpose(self.reach_rows), q.in_mask)):
+            for x in range(self.n):
+                for y in _bits(reach[x] & ~rows[x]):
+                    beyond = step[y] & rows[x]
+                    if beyond:
+                        w = beyond.bit_length() - 1
+                        ends, zero = ((w, x), (y, x)) if flip else ((x, w), (x, y))
+                        raise NotIntervalMonotone(
+                            "hom support is not interval-monotone: hom({},{}) = 1 but hom({},{}) = 0"
+                            .format(*(names[v] for v in ends + zero))
+                        )
 
     @cached_property
     def quiver(self) -> Quiver:
@@ -146,7 +180,7 @@ class SchurianAlgebra:
         if not mask:
             raise EmptySelection("empty vertex selection")
         names = [self.names[i] for i in _bits(mask)]
-        return SchurianAlgebra(names, _sub_rows(self.hom_rows, mask), label=label)
+        return SchurianAlgebra(names, _sub_rows(self.hom_rows, mask), label=label, monotone=True)
 
     def mask_of(self, vertices: Iterable[str]) -> int:
         mask = 0
@@ -181,7 +215,7 @@ class IncidenceQuotient(SchurianAlgebra):
             zset.append((si, ti))
         self.declared_zeros = tuple(sorted(set(zset)))
         rows = _hom_from_zeros(hasse, self.declared_zeros)
-        super().__init__(hasse.names, rows, label=label, validity=None)
+        super().__init__(hasse.names, rows, label=label, validity=None, monotone=True)
         self.validity = _certify(hasse, self.declared_zeros)
 
     @property
@@ -357,14 +391,18 @@ def hull_mask(algebra: SchurianAlgebra, ii: int, jj: int) -> int:
 
 
 def opposite_algebra(algebra: SchurianAlgebra) -> SchurianAlgebra:
+    # the opposite refers back to its source weakly, so that the pair is no
+    # reference cycle and is freed as soon as the source is dropped
     cached = algebra._cache.get("op")
+    if isinstance(cached, weakref.ref):
+        cached = cached()
     if cached is None:
         cached = SchurianAlgebra(
             algebra.names, transpose(algebra.hom_rows), label=(algebra.label + "^op") if algebra.label else "op",
-            validity=algebra.validity,
+            validity=algebra.validity, monotone=True,
         )
         algebra._cache["op"] = cached
-        cached._cache["op"] = algebra
+        cached._cache["op"] = weakref.ref(algebra)
     return cached
 
 

@@ -19,12 +19,11 @@ def _popcount(x: int) -> int:
 
 
 def _bits(mask: int):
-    i = 0
+    """The set bits of ``mask``, ascending, one lowest set bit at a time."""
     while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class Quiver:

@@ -8,7 +8,7 @@ import pytest
 from critalg.cli import main
 from critalg.compare import oracle_compare
 from critalg.criteria import critical_template
-from critalg.errors import SpecError
+from critalg.errors import NotIntervalMonotone, SpecError
 from critalg.presentation import SchurianAlgebra, as_incidence_quotient, from_poset
 from critalg.randgen import RandomModel
 from critalg.report import (
@@ -148,9 +148,15 @@ def test_oracle_compare_agrees(diamond6, chain6):
 
 def test_oracle_compare_flags_corruption(diamond6):
     rows = list(diamond6.hom_rows)
-    # flip hom(2,6) on: breaks the domination rule the fast paths rely on
+    # flip hom(2,6) on: breaks the domination rule the fast paths rely on,
+    # and interval monotonicity (hom(3,6) = 0 with 3 between), so the
+    # constructor rejects it
     rows[1] |= 1 << 5
-    broken = SchurianAlgebra(diamond6.names, rows, label="corrupted")
+    with pytest.raises(NotIntervalMonotone):
+        SchurianAlgebra(diamond6.names, rows, label="corrupted")
+    # a caller that vouches for the support gets past the check, and then
+    # compare flags the corruption
+    broken = SchurianAlgebra(diamond6.names, rows, label="corrupted", monotone=True)
     rep = oracle_compare(broken)
     assert not rep.ok
     offending = [c for c in rep.checks if not c.ok]
