@@ -14,7 +14,6 @@ from .errors import (
     InvalidTemplate,
     MalformedRelation,
     NotAHasseDiagram,
-    NotAMorphism,
     NotAnIncidenceAlgebra,
     NotAPartialOrder,
     NotIntervalMonotone,
@@ -51,33 +50,16 @@ from .presentation import (
     minimal_zero_pairs,
     opposite_algebra,
     second_syzygy_multiplicity,
-    sinks,
-    sources,
 )
 from .homology import (
     ProjResolution,
-    Representation,
-    RepMorphism,
-    composition_multiplicity,
-    dual_representation,
     ext_dim,
     gl_dim,
-    idim,
     idim_of_simple,
-    injective,
-    kernel,
-    loewy_length,
     minimal_injective_coresolution,
     minimal_projective_resolution,
-    pd,
     pd_of_simple,
-    projective,
-    projective_cover,
-    radical,
     resolution_of_simple,
-    simple,
-    socle,
-    top,
     verify_exactness,
     verify_minimality,
 )

@@ -29,10 +29,6 @@ class EmptySelection(CritalgError):
     """A vertex selection that must be nonempty (or proper) is not."""
 
 
-class NotAMorphism(CritalgError):
-    """Vertexwise matrices do not commute with the arrow maps."""
-
-
 class NotAnIncidenceAlgebra(CritalgError):
     """An operation restricted to pure incidence algebras got zero relations."""
 

@@ -43,24 +43,24 @@ def canonical_form(n: int, rows: list[int]) -> tuple[int, ...]:
         return ()
     cols = transpose(rows)
     colors = _refine(n, rows, cols, [0] * n)
-    best: list[tuple[int, ...] | None] = [None]
-
-    def rec(perm: list[int], remaining: list[int], colors: list[int]):
+    best = None
+    # depth-first over refinement-consistent orderings, on an explicit stack
+    # so that no closure refers to itself
+    stack = [([], list(range(n)), colors)]
+    while stack:
+        perm, remaining, colors = stack.pop()
         if not remaining:
             enc = _encode(n, rows, perm)
-            if best[0] is None or enc < best[0]:
-                best[0] = enc
-            return
+            if best is None or enc < best:
+                best = enc
+            continue
         cmin = min(colors[v] for v in remaining)
-        cell = [v for v in remaining if colors[v] == cmin]
-        for v in cell:
+        for v in [v for v in remaining if colors[v] == cmin]:
             nxt = list(colors)
             nxt[v] = -1 - len(perm)
-            nxt2 = _refine(n, rows, cols, _normalize(nxt))
-            rec(perm + [v], [w for w in remaining if w != v], nxt2)
-
-    rec([], list(range(n)), colors)
-    return best[0]  # type: ignore[return-value]
+            rest = [w for w in remaining if w != v]
+            stack.append((perm + [v], rest, _refine(n, rows, cols, _normalize(nxt))))
+    return best
 
 
 def _normalize(colors: list[int]) -> list[int]:
@@ -93,12 +93,16 @@ def are_isomorphic(n1: int, rows1: list[int], n2: int, rows2: list[int]) -> bool
     order1 = sorted(range(n), key=lambda v: (len(by_color[colors1[v]]), v))
     mapping = [-1] * n
     used = [False] * n
-
-    def extend(k: int) -> bool:
-        if k == n:
-            return True
+    # backtracking on an explicit stack of candidate iterators, one per mapped
+    # A-vertex, so that no closure refers to itself
+    trail = [iter(by_color[colors1[order1[0]]])]
+    while trail:
+        k = len(trail) - 1
         a = order1[k]
-        for b in by_color[colors1[a]]:
+        if mapping[a] >= 0:
+            used[mapping[a]] = False
+            mapping[a] = -1
+        for b in trail[k]:
             if used[b]:
                 continue
             ok = True
@@ -112,10 +116,11 @@ def are_isomorphic(n1: int, rows1: list[int], n2: int, rows2: list[int]) -> bool
             if ok:
                 mapping[a] = b
                 used[b] = True
-                if extend(k + 1):
-                    return True
-                mapping[a] = -1
-                used[b] = False
-        return False
-
-    return extend(0)
+                break
+        else:
+            trail.pop()
+            continue
+        if k + 1 == n:
+            return True
+        trail.append(iter(by_color[colors1[order1[k + 1]]]))
+    return False

@@ -465,14 +465,6 @@ def as_incidence_quotient(algebra: SchurianAlgebra) -> IncidenceQuotient:
     return rebuilt
 
 
-def sources(algebra: SchurianAlgebra) -> list[str]:
-    return algebra.sources()
-
-
-def sinks(algebra: SchurianAlgebra) -> list[str]:
-    return algebra.sinks()
-
-
 # -- minimal relations -------------------------------------------------------
 
 

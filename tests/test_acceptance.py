@@ -251,7 +251,7 @@ def test_dimension_spectrum_corpus(corpus, diamond6, chain6, crown, arc4, square
 
 
 def test_self_avoidance_audit_corpus(corpus, diamond6, chain6, crown):
-    from critalg.homology import projective, radical
+    from oracles import projective, radical
 
     bad = []
     for A in list(corpus) + [diamond6, chain6, crown]:

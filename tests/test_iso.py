@@ -1,3 +1,4 @@
+import gc
 import random
 
 from critalg.iso import are_isomorphic, canonical_form
@@ -62,6 +63,26 @@ def test_symmetric_fan_is_fast():
     perm = list(range(n))
     random.Random(3).shuffle(perm)
     assert are_isomorphic(n, rows, n, _permuted(rows, perm))
+
+
+def test_isomorphism_and_canonical_form_leave_no_cyclic_garbage():
+    # the searches keep their state on explicit stacks, so a call frees all
+    # it built at once, with no work left for the cycle collector
+    rng = random.Random(5)
+    rows = _random_digraph(rng, 7)
+    perm = list(range(7))
+    rng.shuffle(perm)
+    gc.collect()
+    gc.disable()
+    try:
+        assert are_isomorphic(7, rows, 7, _permuted(rows, perm))
+        assert gc.collect() == 0
+        assert not are_isomorphic(4, [0b0011, 0b0010, 0b1100, 0b1000], 4, [0b0011, 0b0110, 0b1100, 0b1000])
+        assert gc.collect() == 0
+        canonical_form(7, rows)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_crown_witness_detection(crown, diamond6):

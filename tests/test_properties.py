@@ -199,7 +199,7 @@ def test_full_subcategory_ext_restriction_random_hulls():
 
 
 def test_max_pd_modules_have_max_pd_factors_random():
-    from critalg.homology import pd, projective, radical
+    from oracles import pd, projective, radical
 
     for A in CORPUS[:80]:
         g = gl_dim(A)
@@ -229,7 +229,7 @@ def test_some_max_pd_vertex_avoids_the_rest_random():
 
 
 def test_hom_support_matches_engine_projectives_random():
-    from critalg.homology import projective
+    from oracles import projective
 
     for A in CORPUS[:100]:
         for x in A.names:
