@@ -77,38 +77,5 @@ def solve_in_rowspace(basis: Matrix, pivots: list[int], vec: Row) -> Row:
     return coeffs
 
 
-def mat_vec(mat: Matrix, vec: Row) -> Row:
-    return [sum((Fraction(a) * b for a, b in zip(row, vec)), Fraction(0)) for row in mat]
-
-
-def row_times_mat(vec: Row, mat: Matrix) -> Row:
-    if not mat:
-        return []
-    ncols = len(mat[0])
-    out = [Fraction(0)] * ncols
-    for a, row in zip(vec, mat):
-        if a:
-            for j in range(ncols):
-                out[j] += Fraction(a) * row[j]
-    return out
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if not a:
-        return []
-    if not b:
-        return [[] for _ in a]
-    nb = len(b[0])
-    out = []
-    for row in a:
-        acc = [Fraction(0)] * nb
-        for x, brow in zip(row, b):
-            if x:
-                for j in range(nb):
-                    acc[j] += Fraction(x) * brow[j]
-        out.append(acc)
-    return out
-
-
 def zeros(nrows: int, ncols: int) -> Matrix:
     return [[Fraction(0)] * ncols for _ in range(nrows)]

@@ -56,17 +56,20 @@ class SchurianAlgebra:
     The quiver is the arrow skeleton derived from hom; zero pairs are the
     skeleton-connected pairs with hom 0.
 
-    The support must be interval-monotone: hom(x,z) = 1 forces
-    hom(x,y) = hom(y,z) = 1 for every y between x and z.  The constructor
-    checks this unless ``monotone`` vouches for it.  Three constructions are
-    monotone by construction and skip the check:
+    The support must be triangular (hom lies in a partial order) and
+    interval-monotone: hom(x,z) = 1 forces hom(x,y) = hom(y,z) = 1 for every
+    y between x and z.  The constructor checks both unless ``monotone``
+    vouches for them.  Three constructions satisfy both by construction and
+    skip the checks:
 
-    * the domination rule of ``from_poset``: if y lies between x and z and
-      a zero pair (s,t) has x ~> s and t ~> y (or y ~> s and t ~> z), then it
+    * the domination rule of ``from_poset``: hom lies in the reachability
+      order of a checked Hasse quiver; and if y lies between x and z and a
+      zero pair (s,t) has x ~> s and t ~> y (or y ~> s and t ~> z), then it
       also has x ~> s and t ~> z, so hom(x,z) = 0;
-    * ``restrict_mask``: hom only loses pairs, so the intervals of the
-      restriction lie in those of the ambient algebra;
-    * ``opposite_algebra``: the condition reads the same in the opposite.
+    * ``restrict_mask``: hom only loses pairs, so it lies in the restricted
+      order and the intervals of the restriction lie in those of the ambient
+      algebra;
+    * ``opposite_algebra``: both conditions read the same in the opposite.
     """
 
     def __init__(self, names: Sequence[str], hom_rows: Sequence[int], label: str = "",
@@ -83,8 +86,8 @@ class SchurianAlgebra:
         for i in range(self.n):
             if not self.hom_rows[i] >> i & 1:
                 raise ValueError(f"hom({self.names[i]},{self.names[i]}) must be 1")
-        self._check_acyclic()
         if not monotone:
+            self._check_acyclic()
             self._check_monotone()
 
     # -- construction helpers ---------------------------------------------
@@ -190,14 +193,21 @@ class SchurianAlgebra:
 
 
 class IncidenceQuotient(SchurianAlgebra):
-    """kQ/(I + J): a Hasse quiver with commutativity relations and zero pairs."""
+    """kQ/(I + J): a Hasse quiver with commutativity relations and zero pairs.
+
+    The arrow skeleton is the Hasse quiver itself, so it is not rebuilt from
+    hom.  An arrow x->y keeps hom(x,y) = 1, as a zero pair needs a path of
+    length >= 2 inside [x, y], and no vertex lies strictly between x and y
+    to factor it.  Along a longer path x->m ~> y, hom(x,m) = hom(m,y) = 1 by
+    monotonicity, so every other nonzero hom factors through m.
+    """
 
     def __init__(self, hasse: Quiver, zeros: Iterable[tuple[str, str]], label: str = ""):
         if not is_triangular(hasse):
             raise TriangularityViolation("Hasse quiver has a directed cycle")
         if has_bypass(hasse):
             raise NotAHasseDiagram("quiver has a bypass; not a Hasse diagram")
-        self.hasse = hasse
+        self.hasse = self.quiver = hasse
         zset = []
         for s, t in zeros:
             s, t = str(s), str(t)
@@ -259,22 +269,30 @@ def _certify(hasse: Quiver, zeros: Sequence[tuple[int, int]]) -> Validity:
     """
     if not zeros:
         return CERTIFIED
-    reach = hasse._reach_rows
     above = _above_rows(hasse)
+    reasons = tuple(_contour_reason(hasse, above, *hit) for hit in _failures(hasse, above, zeros))
+    return Validity(False, reasons) if reasons else CERTIFIED
+
+
+def _certifies(hasse: Quiver, zeros: Sequence[tuple[int, int]]) -> bool:
+    """``_certify(hasse, zeros).certified``, decided at the first failing
+    pair and without reasons."""
+    return not zeros or next(_failures(hasse, _above_rows(hasse), zeros), None) is None
+
+
+def _failures(hasse: Quiver, above: Sequence[int], zeros: Sequence[tuple[int, int]]):
+    """(s, t, x, y) for each failing zero pair (s, t), in order, with (x, y)
+    the first split in index order that has x >= s and t >= y."""
+    reach = hasse._reach_rows
     splits: dict[int, int] = {}
-    reasons = []
     for s, t in zeros:
         for x in _bits(above[s]):
             if x not in splits:
                 splits[x] = _split_row(hasse, above, x)
             ys = splits[x] & reach[t]
             if ys:
-                y = (ys & -ys).bit_length() - 1
-                reasons.append(_contour_reason(hasse, above, s, t, x, y))
+                yield s, t, x, (ys & -ys).bit_length() - 1
                 break
-    if reasons:
-        return Validity(False, tuple(reasons))
-    return CERTIFIED
 
 
 def _above_rows(hasse: Quiver) -> list[int]:

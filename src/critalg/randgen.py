@@ -1,11 +1,13 @@
-"""Seeded random incidence quotients for the property suites."""
+"""Seeded random incidence quotients: the generator behind the CLI's
+``random`` command.  Each attempt is checked on index pairs before anything
+is built, so one algebra is built per call."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 
-from .presentation import IncidenceQuotient, from_poset
+from .presentation import IncidenceQuotient, _certifies, from_poset
 from .quivers import Quiver, _bits, cover_arrows
 
 
@@ -35,7 +37,6 @@ def random_algebra(model: RandomModel) -> IncidenceQuotient:
     returned uncertified if none does."""
     rng = random.Random(model.seed)
     names = [str(k) for k in range(1, model.n + 1)]
-    last = None
     for attempt in range(model.max_attempts):
         ge = [0] * model.n
         for i in range(model.n):
@@ -47,15 +48,8 @@ def random_algebra(model: RandomModel) -> IncidenceQuotient:
             for j in _bits(ge[i]):
                 ge[i] |= ge[j]
         quiver = Quiver(names, [(names[i], names[j]) for i, j in cover_arrows(ge)])
-        eligible = []
-        for i in range(model.n):
-            for j in _bits(ge[i]):
-                if (i, j) not in quiver.arrows:
-                    eligible.append((names[i], names[j]))
+        eligible = [(i, j) for i in range(model.n) for j in _bits(ge[i] & ~quiver.out_mask[i])]
         zeros = [p for p in eligible if rng.random() < model.zero_rate]
-        label = f"random-s{model.seed}-n{model.n}"
-        algebra = from_poset(quiver, zeros, label=label)
-        last = algebra
-        if algebra.validity.certified:
-            return algebra
-    return last
+        if _certifies(quiver, zeros) or attempt == model.max_attempts - 1:
+            label = f"random-s{model.seed}-n{model.n}"
+            return from_poset(quiver, [(names[i], names[j]) for i, j in zeros], label=label)

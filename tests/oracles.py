@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from critalg.errors import InternalError
 from critalg.homology import ProjResolution, _assert_simple_resolution_shape, _slot_layout
-from critalg.linalg import Matrix, mat_vec, nullspace, row_times_mat, rref, solve_in_rowspace, zeros
+from critalg.linalg import Matrix, Row, nullspace, rref, solve_in_rowspace, zeros
 from critalg.presentation import SchurianAlgebra
 from critalg.quivers import _bits
 
@@ -81,6 +81,25 @@ def projective(algebra: SchurianAlgebra, x: str) -> Representation:
 def injective(algebra: SchurianAlgebra, x: str) -> Representation:
     i = algebra.index[str(x)]
     return _thin(algebra, sum(1 << z for z in range(algebra.n) if algebra.hom_bit(z, i)))
+
+
+# -- matrix products ------------------------------------------------------------
+
+
+def mat_vec(mat: Matrix, vec: Row) -> Row:
+    return [sum((Fraction(a) * b for a, b in zip(row, vec)), Fraction(0)) for row in mat]
+
+
+def row_times_mat(vec: Row, mat: Matrix) -> Row:
+    if not mat:
+        return []
+    ncols = len(mat[0])
+    out = [Fraction(0)] * ncols
+    for a, row in zip(vec, mat):
+        if a:
+            for j in range(ncols):
+                out[j] += Fraction(a) * row[j]
+    return out
 
 
 # -- radical, covers, kernels ---------------------------------------------------

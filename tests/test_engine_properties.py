@@ -1,7 +1,8 @@
-"""Generated inputs for the scalar engine: on Hasse quivers of random partial
-orders with random zero sets, ``homology._resolve_simple`` must agree with
-the representation engine of ``oracles`` at every simple.  Hypothesis shrinks
-a counterexample to a minimal order and zero set."""
+"""Generated inputs: on Hasse quivers of random partial orders with random
+zero sets, ``homology._resolve_simple`` must agree with the representation
+engine of ``oracles`` at every simple, and the boolean certification gate
+with the one that gives reasons.  Hypothesis shrinks a counterexample to a
+minimal order and zero set."""
 
 import pytest
 
@@ -9,7 +10,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from critalg.homology import _resolve_simple  # noqa: E402
-from critalg.presentation import from_poset  # noqa: E402
+from critalg.presentation import _certifies, _certify, from_poset  # noqa: E402
 from critalg.quivers import Quiver, _bits, cover_arrows  # noqa: E402
 from oracles import _resolve_by_covers, simple  # noqa: E402
 
@@ -51,3 +52,12 @@ def test_scalar_engine_matches_the_oracle_at_every_simple(presentation):
         got = _resolve_simple(A, i)
         want = _resolve_by_covers(A, simple(A, x))
         assert (got.terms, got.syzygy_dims, got.diffs) == (want.terms, want.syzygy_dims, want.diffs), x
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(hasse_quivers_with_zero_sets(max_n=10))
+def test_certifies_matches_the_certified_flag(presentation):
+    n, arrows, zeros = presentation
+    q = Quiver([str(k) for k in range(1, n + 1)], arrows)
+    pairs = [(q.index[s], q.index[t]) for s, t in zeros]
+    assert _certifies(q, pairs) == _certify(q, pairs).certified

@@ -3,13 +3,14 @@
 The reference below lists every irreducible contour and every realizing path
 of each zero pair, exactly as the gate once did; it is exponential and fit
 only for small inputs.  The gate must agree with it on the certified flag and
-on every reason string, byte for byte.
+on every reason string, byte for byte, and the boolean gate that ``random``
+asks first must agree with the certified flag.
 """
 
 import random
 
 from critalg.posets import hasse_quiver_of, posets_up_to_iso
-from critalg.presentation import CERTIFIED, Validity, from_poset
+from critalg.presentation import CERTIFIED, Validity, _certifies, from_poset
 from critalg.quivers import Path, Quiver, all_paths, irreducible_contours
 
 
@@ -50,6 +51,8 @@ def assert_gates_agree(q, zeros):
     A = from_poset(q, zeros)
     expected = enumerating_gate(A.hasse, A.declared_zeros)
     assert A.validity == expected, (q, zeros)
+    # in the order drawn, as random_algebra passes them
+    assert _certifies(q, [(q.index[s], q.index[t]) for s, t in zeros]) == expected.certified, (q, zeros)
     return expected.certified
 
 

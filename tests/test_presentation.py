@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from critalg.errors import (
@@ -6,7 +8,11 @@ from critalg.errors import (
     NotAHasseDiagram,
 )
 from critalg.homology import ext_dim, idim_of_simple, pd_of_simple
+from critalg.criteria import critical_template
+from critalg.posets import hasse_quiver_of, posets_up_to_iso
 from critalg.presentation import (
+    IncidenceQuotient,
+    SchurianAlgebra,
     as_incidence_quotient,
     convex_hull,
     from_poset,
@@ -21,6 +27,7 @@ from critalg.presentation import (
 from critalg.quivers import Quiver
 from critalg.randgen import RandomModel, random_algebra
 from oracles import projective
+from test_gate import legal_zero_pairs
 
 
 def test_fixture_certification(diamond6, chain6):
@@ -252,3 +259,33 @@ def test_random_algebra_determinism_and_bounds():
     assert single.n == 1 and single.declared_zeros == ()
     with pytest.raises(ValueError):
         RandomModel(seed=1, n=0)
+
+
+def test_trusted_constructions_pass_the_checks_they_skip(diamond6, chain6, crown, arc4, square):
+    # from_poset, restrict_mask and opposite_algebra skip the triangularity
+    # and monotonicity checks, and an incidence quotient takes its Hasse
+    # quiver as skeleton; the full checks and rebuild must agree on the corpus
+    rng = random.Random(7)
+    corpus = [diamond6, chain6, crown, arc4, square]
+    corpus += [critical_template(k, p) for k, p in (("A", 1), ("A", 3), ("B", 1), ("B", 3), ("Q", 3))]
+    corpus += [random_algebra(RandomModel(seed=seed, n=5 + seed % 8, zero_rate=0.4)) for seed in range(40)]
+    for n in range(1, 6):
+        for rows in posets_up_to_iso(n):
+            q = hasse_quiver_of(rows)
+            corpus.append(from_poset(q, [z for z in legal_zero_pairs(q) if rng.random() < 0.4]))
+    built = 0
+    for A in corpus:
+        if isinstance(A, IncidenceQuotient):
+            assert A.quiver == SchurianAlgebra(A.names, A.hom_rows).quiver
+        masks = range(1, 1 << A.n) if A.n <= 8 else [rng.randrange(1, 1 << A.n) for _ in range(64)]
+        for B in [A, *(A.restrict_mask(m) for m in masks)]:
+            for C in (B, opposite_algebra(B)):
+                C._check_acyclic()
+                C._check_monotone()
+                built += 1
+    assert built > 5000
+
+
+def test_random_algebra_returns_its_last_attempt_uncertified():
+    out = [random_algebra(RandomModel(seed=seed, n=12, zero_rate=0.5, max_attempts=1)) for seed in range(20)]
+    assert {A.validity.certified for A in out} == {True, False}
