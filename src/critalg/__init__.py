@@ -8,14 +8,12 @@ dimension at most two by the absence of critical full subcategories.
 from .errors import (
     ClassificationGap,
     CritalgError,
-    DualizationRequired,
     EmptySelection,
     InternalError,
     InvalidTemplate,
     MalformedRelation,
     NotAHasseDiagram,
     NotAnIncidenceAlgebra,
-    NotAPartialOrder,
     NotIntervalMonotone,
     NotAThirdSyzygyPair,
     SpecError,
@@ -27,26 +25,15 @@ from .quivers import (
     Quiver,
     contours,
     has_bypass,
-    hasse_reduction,
-    is_convex,
     is_interlaced,
     is_irreducible,
-    is_triangular,
-    opposite,
-    reachability,
 )
 from .presentation import (
     IncidenceQuotient,
     SchurianAlgebra,
     Validity,
     as_incidence_quotient,
-    convex_hull,
     from_poset,
-    full_subcategory,
-    hom_support,
-    kill_vertices,
-    minimal_relation_pairs,
-    minimal_relation_pairs_combinatorial,
     minimal_zero_pairs,
     opposite_algebra,
     second_syzygy_multiplicity,
@@ -76,22 +63,17 @@ from .criteria import (
     convex_crown_witness,
     critical_template,
     find_all_critical_subcategories,
-    find_critical_subcategory,
     find_critical_subcategory_guided,
     gldim2_criterion,
     igusa_zacharia,
-    is_critical,
     pd_spectrum_check,
-    proper_subcategories_gldim_le2,
     second_term_engine,
     second_term_from_relations,
-    third_syzygy_test,
     third_syzygy_test_auto,
 )
 from .specfile import AlgebraSpecDocument, load_algebra, parse_spec, render_spec
 from .report import ReportDocument, build_report, parse_report, render_report
 from .randgen import RandomModel, random_algebra
 from .compare import ComparisonReport, oracle_compare
-from .posets import hasse_quiver_of, posets_up_to_iso
 
 __version__ = "0.1.0"

@@ -15,7 +15,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     ClassificationGap,
-    DualizationRequired,
     InternalError,
     InvalidTemplate,
     NotAnIncidenceAlgebra,
@@ -146,22 +145,6 @@ def build_syzygy_config(algebra: SchurianAlgebra, i: str, j: str, *, dualized: b
     )
 
 
-def third_syzygy_test(algebra: SchurianAlgebra, i: str, j: str) -> bool:
-    """Predict whether the projective at j is a summand of the third
-    resolution term of the simple at i, from level-two data only.
-
-    Requires s >= r (raises DualizationRequired otherwise).  The count clause
-    is the exact kernel multiplicity; the witness clause demands a minimal
-    relation from the middle set to j.  The literal monomial count
-    (>= s - r + 1) is computed alongside and divergences are logged: they
-    arise exactly when commutativity relations do the killing.
-    """
-    cfg = build_syzygy_config(algebra, i, j)
-    if cfg.s < cfg.r:
-        raise DualizationRequired(f"s={cfg.s} < r={cfg.r} for ({i}, {j})")
-    return _third_test_from_config(algebra, cfg)
-
-
 def _third_test_from_config(algebra: SchurianAlgebra, cfg: SyzygyConfig) -> bool:
     jj = algebra.index[cfg.target]
     minimal_witness = any(
@@ -189,7 +172,14 @@ def _third_test_from_config(algebra: SchurianAlgebra, cfg: SyzygyConfig) -> bool
 
 
 def third_syzygy_test_auto(algebra: SchurianAlgebra, i: str, j: str) -> tuple[bool, str]:
-    """The third-term test, dualizing when s < r.
+    """Predict whether the projective at j is a summand of the third
+    resolution term of the simple at i, from level-two data only, dualizing
+    when s < r.
+
+    The count clause is the exact kernel multiplicity; the witness clause
+    demands a minimal relation from the middle set to j.  The literal
+    monomial count (>= s - r + 1) is computed alongside and divergences are
+    logged: they arise exactly when commutativity relations do the killing.
 
     Returns (prediction, side) with side one of "primal", "dual",
     "primal-unmet" (neither side satisfies s >= r; the primal answer is
@@ -484,10 +474,6 @@ def _pd_le2_fast(B: SchurianAlgebra, i: int) -> bool:
     return True
 
 
-def _gldim_le2_fast(B: SchurianAlgebra) -> bool:
-    return all(_pd_le2_fast(B, i) for i in range(B.n))
-
-
 def _resolution_partitions(B: SchurianAlgebra, res: ProjResolution) -> bool:
     """Length exactly 3 and the term supports partition the vertex set."""
     if res.length != 3:
@@ -581,10 +567,6 @@ def check_critical(B: SchurianAlgebra) -> CriticalityResult:
     if ends is None or not _satisfies_i_iv(B, B.names[ends[0]], B.names[ends[1]]):
         return CriticalityResult(False, ("conditions i)-iv) fail for the algebra itself",))
     return CriticalityResult(True, (), B.names[ends[0]], B.names[ends[1]])
-
-
-def is_critical(B: SchurianAlgebra) -> bool:
-    return check_critical(B).is_critical
 
 
 # -- search ---------------------------------------------------------------------
@@ -704,19 +686,6 @@ def find_critical_subcategory_guided(
             reports.append(_critical_report(B, chk.source, chk.sink))
     reports.sort(key=lambda r: tuple(algebra.index[x] for x in r.subset))
     return reports
-
-
-def find_critical_subcategory(
-    algebra: SchurianAlgebra, strategy: str = "exhaustive"
-) -> CriticalReport | None:
-    """The lexicographically smallest critical subcategory, or None."""
-    if strategy == "exhaustive":
-        reports = find_all_critical_subcategories(algebra)
-    elif strategy == "guided":
-        reports = find_critical_subcategory_guided(algebra)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    return reports[0] if reports else None
 
 
 # -- the main criterion -----------------------------------------------------------
@@ -852,31 +821,3 @@ def convex_crown_witness(algebra: SchurianAlgebra) -> tuple[str, ...] | None:
             if are_isomorphic(B.n, list(B.hom_rows), size, target):
                 return B.names
     return None
-
-
-# -- subcategory sweep helper ------------------------------------------------------
-
-
-def proper_subcategories_gldim_le2(algebra: SchurianAlgebra, sample_confirm: int = 8) -> bool:
-    """True iff every proper full convex subcategory has gl.dim <= 2.
-
-    The fast dimension screen decides; screen failures are confirmed by the
-    engine, and a deterministic sample of passes is engine-verified too.
-    """
-    full = (1 << algebra.n) - 1
-    passes = []
-    for mask in range(1, full):
-        if not convex_mask(algebra.reach_rows, mask):
-            continue
-        B = algebra.restrict_mask(mask)
-        if _gldim_le2_fast(B):
-            passes.append(mask)
-            continue
-        if gl_dim(B) > 2:
-            return False
-        raise InternalError("dimension screen claimed gl.dim >= 3 falsely")
-    step = max(1, len(passes) // sample_confirm) if passes else 1
-    for mask in passes[::step]:
-        if gl_dim(algebra.restrict_mask(mask)) > 2:
-            raise InternalError("dimension screen claimed gl.dim <= 2 falsely")
-    return True

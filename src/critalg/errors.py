@@ -13,10 +13,6 @@ class NotIntervalMonotone(CritalgError):
     """A hom support with hom(x,z) = 1 but a zero hom on the way from x to z."""
 
 
-class NotAPartialOrder(CritalgError):
-    """The given relation is not antisymmetric."""
-
-
 class NotAHasseDiagram(CritalgError):
     """The quiver has a bypass (an arrow parallel to a longer path)."""
 
@@ -35,10 +31,6 @@ class NotAnIncidenceAlgebra(CritalgError):
 
 class NotAThirdSyzygyPair(CritalgError):
     """(i, j) is not a (pd 3, third-term summand) pair."""
-
-
-class DualizationRequired(CritalgError):
-    """The syzygy configuration has s < r; apply the test in the opposite algebra."""
 
 
 class InvalidTemplate(CritalgError):

@@ -7,8 +7,9 @@ Two layers share one core class:
   x ~> y and no zero pair (s,t) has x ~> s and t ~> y) and a certification
   status for the irreducible-contour condition on the zero generators.
 * ``SchurianAlgebra`` -- any 0/1 hom-support function on an acyclic vertex set,
-  as produced by full subcategories, vertex killing, and templates.  The
-  arrow skeleton, reachability, and zero pairs are all derived from hom.
+  as produced by full subcategories (``restrict_mask``), opposite algebras,
+  and templates.  The arrow skeleton, reachability, and zero pairs are all
+  derived from hom.
 
 Zero relations are stored as endpoint pairs: parallel paths are identified,
 so a monomial generator kills the whole hom space and the endpoints are a
@@ -17,7 +18,6 @@ complete description.
 
 from __future__ import annotations
 
-import logging
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
@@ -30,9 +30,7 @@ from .errors import (
     NotIntervalMonotone,
     TriangularityViolation,
 )
-from .quivers import Quiver, _bits, _popcount, _sub_rows, has_bypass, is_triangular, lexmin_path, transpose
-
-log = logging.getLogger(__name__)
+from .quivers import Quiver, _bits, _popcount, _sub_rows, has_bypass, lexmin_path, transpose
 
 
 @dataclass(frozen=True)
@@ -203,8 +201,7 @@ class IncidenceQuotient(SchurianAlgebra):
     """
 
     def __init__(self, hasse: Quiver, zeros: Iterable[tuple[str, str]], label: str = ""):
-        if not is_triangular(hasse):
-            raise TriangularityViolation("Hasse quiver has a directed cycle")
+        reach = hasse._reach_rows  # raises TriangularityViolation on a directed cycle
         if has_bypass(hasse):
             raise NotAHasseDiagram("quiver has a bypass; not a Hasse diagram")
         self.hasse = self.quiver = hasse
@@ -216,7 +213,7 @@ class IncidenceQuotient(SchurianAlgebra):
             si, ti = hasse.index[s], hasse.index[t]
             if si == ti:
                 raise MalformedRelation(f"zero pair with equal endpoints: {s} ~> {t}")
-            if not hasse.reaches(si, ti) or (si, ti) in hasse.arrows:
+            if not reach[si] >> ti & 1 or (si, ti) in hasse.arrows:
                 # relations need a realizing path of length >= 2; in a Hasse
                 # quiver an arrow excludes any longer parallel path
                 raise MalformedRelation(
@@ -227,10 +224,6 @@ class IncidenceQuotient(SchurianAlgebra):
         rows = _hom_from_zeros(hasse, self.declared_zeros)
         super().__init__(hasse.names, rows, label=label, validity=None, monotone=True)
         self.validity = _certify(hasse, self.declared_zeros)
-
-    @property
-    def is_incidence_algebra(self) -> bool:
-        return not self.declared_zeros
 
 
 def _hom_from_zeros(hasse: Quiver, zeros: Sequence[tuple[int, int]]) -> list[int]:
@@ -372,42 +365,6 @@ def from_poset(hasse: Quiver, zeros: Iterable[tuple[str, str]] = (), label: str 
     return IncidenceQuotient(hasse, zeros, label=label)
 
 
-def hom_support(algebra: SchurianAlgebra, x: str, y: str) -> int:
-    return algebra.hom(x, y)
-
-
-def full_subcategory(algebra: SchurianAlgebra, vertices: Iterable[str], label: str = "") -> SchurianAlgebra:
-    """The endomorphism algebra of the sum of the chosen projectives.
-
-    Presented by the hom matrix restricted to the subset; the arrow skeleton
-    and zero pairs are recomputed on the subset.
-    """
-    verts = [str(v) for v in vertices]
-    if not verts:
-        raise EmptySelection("full subcategory on the empty set")
-    mask = algebra.mask_of(verts)
-    return algebra.restrict_mask(mask, label=label or f"{algebra.label}|sub")
-
-
-def convex_hull(algebra: SchurianAlgebra, i: str, j: str, label: str = "") -> SchurianAlgebra:
-    """Full subcategory on all vertices lying on a directed path i ~> k ~> j.
-
-    Falls back to {i, j} when j is unreachable from i.  The result is full
-    and convex, hence restriction-faithful for extension groups.
-    """
-    mask = hull_mask(algebra, algebra.index[str(i)], algebra.index[str(j)])
-    return algebra.restrict_mask(mask, label=label or f"{algebra.label}|hull({i},{j})")
-
-
-def hull_mask(algebra: SchurianAlgebra, ii: int, jj: int) -> int:
-    reach = algebra.reach_rows
-    mask = (1 << ii) | (1 << jj)
-    for k in range(algebra.n):
-        if reach[ii] >> k & 1 and reach[k] >> jj & 1:
-            mask |= 1 << k
-    return mask
-
-
 def opposite_algebra(algebra: SchurianAlgebra) -> SchurianAlgebra:
     # the opposite refers back to its source weakly, so that the pair is no
     # reference cycle and is freed as soon as the source is dropped
@@ -422,35 +379,6 @@ def opposite_algebra(algebra: SchurianAlgebra) -> SchurianAlgebra:
         algebra._cache["op"] = cached
         cached._cache["op"] = weakref.ref(algebra)
     return cached
-
-
-def kill_vertices(algebra: SchurianAlgebra, victims: Iterable[str], label: str = "") -> SchurianAlgebra:
-    """The quotient by the idempotents of the killed vertices.
-
-    hom survives iff it was nonzero and at least one skeleton path avoids the
-    killed set (all parallel paths are identified, so routing entirely through
-    the killed set forces zero).
-    """
-    vmask = algebra.mask_of(victims)
-    keep = ((1 << algebra.n) - 1) & ~vmask
-    if keep == 0:
-        raise EmptySelection("cannot kill every vertex")
-    avoid_reach = _reach_within(algebra.quiver, keep)
-    rows = _sub_rows([h & r for h, r in zip(algebra.hom_rows, avoid_reach)], keep)
-    return SchurianAlgebra(
-        [algebra.names[i] for i in _bits(keep)], rows, label=label or f"{algebra.label}/ideal"
-    )
-
-
-def _reach_within(q: Quiver, mask: int) -> list[int]:
-    rows = [1 << i if mask >> i & 1 else 0 for i in range(q.n)]
-    order = [v for v in q.topological_order() if mask >> v & 1]
-    for v in reversed(order):
-        acc = rows[v]
-        for w in _bits(q.out_mask[v] & mask):
-            acc |= rows[w]
-        rows[v] = acc
-    return rows
 
 
 def minimal_zero_pairs(algebra: SchurianAlgebra) -> list[tuple[str, str]]:
@@ -531,37 +459,3 @@ def second_syzygy_multiplicity(algebra: SchurianAlgebra, i: int, b: int) -> int:
     roots = {find(k) for k in range(len(branches))}
     unmarked = len(roots - marked_roots)
     return max(unmarked - algebra.hom_bit(i, b), 0)
-
-
-def minimal_relation_pairs_combinatorial(algebra: SchurianAlgebra) -> set[tuple[str, str]]:
-    """Endpoint pairs of minimal relations, decided without resolutions."""
-    out = set()
-    reach = algebra.reach_rows
-    for i in range(algebra.n):
-        for b in _bits(reach[i] & ~(1 << i)):
-            if second_syzygy_multiplicity(algebra, i, b) >= 1:
-                out.add((algebra.names[i], algebra.names[b]))
-    return out
-
-
-def minimal_relation_pairs(algebra: SchurianAlgebra) -> set[tuple[str, str]]:
-    """Pairs (x, y) admitting a minimal relation (second extension group
-    nonzero).  The resolution engine decides; the combinatorial rule is
-    cross-checked and any divergence is logged with the engine winning.
-    """
-    from .homology import ext_dim  # local import to avoid a cycle
-
-    engine = set()
-    for x in range(algebra.n):
-        for y in _bits(algebra.reach_rows[x] & ~(1 << x)):
-            if ext_dim(algebra, algebra.names[x], algebra.names[y], 2) >= 1:
-                engine.add((algebra.names[x], algebra.names[y]))
-    fast = minimal_relation_pairs_combinatorial(algebra)
-    if fast != engine:
-        log.warning(
-            "minimal-relation fast path disagrees with the engine on %s: fast-only=%s engine-only=%s",
-            algebra.label or "algebra",
-            sorted(fast - engine),
-            sorted(engine - fast),
-        )
-    return engine

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import NotAPartialOrder, TriangularityViolation
+from .errors import TriangularityViolation
 
 
 def _popcount(x: int) -> int:
@@ -30,8 +30,8 @@ class Quiver:
     """A finite directed graph without parallel arrows.
 
     Vertex names keep their declared order; arrows are stored as index pairs.
-    Loops and cycles are representable (the predicates below test for them);
-    the algebra layer rejects them where required.
+    Loops and cycles are representable; reachability and the topological
+    order raise TriangularityViolation on them.
     """
 
     def __init__(self, vertices: Sequence[str], arrows: Iterable[tuple[str, str]]):
@@ -161,97 +161,15 @@ class Contour:
         return self.p.target
 
 
-def is_triangular(quiver: Quiver) -> bool:
-    """True iff the quiver has no directed cycle (loops included)."""
-    try:
-        quiver.topological_order()
-    except TriangularityViolation:
-        return False
-    return True
-
-
-def reachability(quiver: Quiver) -> set[tuple[str, str]]:
-    """The partial order x >= y iff a directed path x ~> y exists (reflexive)."""
-    rows = quiver._reach_rows
-    return {
-        (quiver.names[x], quiver.names[y])
-        for x in range(quiver.n)
-        for y in _bits(rows[x])
-    }
-
-
 def has_bypass(quiver: Quiver) -> bool:
-    """True iff some arrow x->y coexists with a path x ~> y of length >= 2."""
-    if not is_triangular(quiver):
-        # fall back to a local check that ignores cycles through the arrow
-        for s, t in quiver.arrows:
-            for m in _bits(quiver.out_mask[s] & ~(1 << t)):
-                if _reachable_avoiding(quiver, m, t, avoid=-1):
-                    return True
-        return False
+    """True iff some arrow x->y coexists with a path x ~> y of length >= 2.
+
+    Raises TriangularityViolation on a directed cycle."""
     for s, t in quiver.arrows:
         for m in _bits(quiver.out_mask[s] & ~(1 << t)):
             if quiver.reaches(m, t):
                 return True
     return False
-
-
-def _reachable_avoiding(quiver: Quiver, src: int, dst: int, avoid: int) -> bool:
-    seen = 0
-    stack = [src]
-    while stack:
-        v = stack.pop()
-        if v == dst:
-            return True
-        if seen >> v & 1:
-            continue
-        seen |= 1 << v
-        for w in _bits(quiver.out_mask[v]):
-            if w != avoid:
-                stack.append(w)
-    return False
-
-
-def hasse_reduction(pairs: Iterable[tuple[str, str]]) -> Quiver:
-    """Transitive reduction of a finite partial order into its Hasse quiver.
-
-    ``pairs`` are read as x >= y; reflexive pairs may be present or absent.
-    """
-    pairs = [(str(a), str(b)) for a, b in pairs]
-    names = []
-    seen = set()
-    for a, b in pairs:
-        for v in (a, b):
-            if v not in seen:
-                seen.add(v)
-                names.append(v)
-    idx = {v: i for i, v in enumerate(names)}
-    n = len(names)
-    ge = [0] * n
-    for a, b in pairs:
-        ge[idx[a]] |= 1 << idx[b]
-    for i in range(n):
-        ge[i] |= 1 << i
-    for a in range(n):
-        for b in range(n):
-            if a != b and ge[a] >> b & 1 and ge[b] >> a & 1:
-                raise NotAPartialOrder(f"{names[a]} and {names[b]} compare both ways")
-    # transitive closure (the input may be any generating set of the order)
-    changed = True
-    while changed:
-        changed = False
-        for a in range(n):
-            acc = ge[a]
-            for b in _bits(ge[a]):
-                acc |= ge[b]
-            if acc != ge[a]:
-                ge[a] = acc
-                changed = True
-    for a in range(n):
-        for b in range(n):
-            if a != b and ge[a] >> b & 1 and ge[b] >> a & 1:
-                raise NotAPartialOrder(f"{names[a]} and {names[b]} compare both ways")
-    return Quiver(names, [(names[a], names[b]) for a, b in cover_arrows(ge)])
 
 
 def cover_arrows(rows: Sequence[int]) -> list[tuple[int, int]]:
@@ -409,14 +327,6 @@ def irreducible_contours(quiver: Quiver) -> list[Contour]:
     return [c for c in contours(quiver) if is_irreducible(quiver, c)]
 
 
-def is_convex(quiver: Quiver, subset: Iterable[str]) -> bool:
-    """True iff every directed path between members of the subset stays inside."""
-    mask = 0
-    for v in subset:
-        mask |= 1 << quiver.index[str(v)]
-    return convex_mask(quiver._reach_rows, mask)
-
-
 def convex_mask(reach_rows: Sequence[int], mask: int) -> bool:
     """True iff no vertex outside ``mask`` lies below one member and above
     another, for the reflexive reachability rows of an acyclic quiver."""
@@ -424,8 +334,3 @@ def convex_mask(reach_rows: Sequence[int], mask: int) -> bool:
     for x in _bits(mask):
         entered |= reach_rows[x]
     return not any(reach_rows[z] & mask for z in _bits(entered & ~mask))
-
-
-def opposite(quiver: Quiver) -> Quiver:
-    """All arrows reversed; an involution."""
-    return Quiver(quiver.names, [(b, a) for a, b in quiver.arrow_names()])

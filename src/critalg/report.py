@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .criteria import CriticalReport, gldim2_criterion
+from .criteria import CriticalReport, CriticalTemplate, gldim2_criterion
 from .homology import idim_of_simple, pd_of_simple, resolution_of_simple
 from .presentation import SchurianAlgebra
 
@@ -159,11 +159,8 @@ def render_report(report: ReportDocument, fmt: str = "text") -> bytes:
         )
         for c in crit["critical"]:
             subset = ",".join(c["subset"])
-            if c["template"]:
-                disp = f"{c['template']}_{c['params']}" + ("^op" if c["opposite"] else "")
-            else:
-                disp = "unclassified"
-            lines.append(f"  critical subcategory: {{{subset}}} ≅ {disp}")
+            tpl = CriticalTemplate(c["template"], c["params"], c["opposite"]) if c["template"] else None
+            lines.append(f"  critical subcategory: {{{subset}}} ≅ {tpl.display if tpl else 'unclassified'}")
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 

@@ -40,13 +40,13 @@ class AlgebraSpecDocument:
         """Construct the incidence quotient, relocating algebra-level errors."""
         quiver = Quiver(self.vertices, self.arrows)
         try:
-            quiver.topological_order()
+            reach = quiver._reach_rows
         except TriangularityViolation as e:
             line, col = self.arrow_locs[0] if self.arrow_locs else (1, 1)
             raise SpecError("cycle", str(e), line, col) from e
         for k, (s, t) in enumerate(self.zeros):
             si, ti = quiver.index[s], quiver.index[t]
-            if not quiver.reaches(si, ti) or (si, ti) in quiver.arrows:
+            if not reach[si] >> ti & 1 or (si, ti) in quiver.arrows:
                 line, col = self.zero_locs[k]
                 raise SpecError(
                     "malformed_relation",

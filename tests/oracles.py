@@ -6,7 +6,8 @@ per arrow.  Its minimal projective resolution is computed by iterating
 projective cover and kernel (``_resolve_by_covers``), with no use of the
 scalar shortcuts of ``critalg.homology``; the tests check that both engines
 agree on terms, syzygy dimensions and differentials.  Kept deliberately
-naive.
+naive.  The convex hull of a vertex pair, which the scan and property tests
+use as a reference subcategory, is here too.
 """
 
 from __future__ import annotations
@@ -301,3 +302,13 @@ def _scalar_diff(prev_term, prev_slots, basis_in_prev, summands, slots, F) -> Ma
 def pd(algebra: SchurianAlgebra, M: Representation) -> int:
     """Projective dimension of any nonzero module."""
     return _resolve_by_covers(algebra, M).length
+
+
+# -- convex hulls -----------------------------------------------------------------
+
+
+def convex_hull(algebra: SchurianAlgebra, i: str, j: str) -> SchurianAlgebra:
+    """The full subcategory on i, j and every vertex on a path i ~> k ~> j."""
+    reach, ii, jj = algebra.reach_rows, algebra.index[i], algebra.index[j]
+    mask = sum(1 << k for k in range(algebra.n) if reach[ii] >> k & 1 and reach[k] >> jj & 1)
+    return algebra.restrict_mask(mask | 1 << ii | 1 << jj)

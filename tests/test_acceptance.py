@@ -15,7 +15,6 @@ from critalg.criteria import (
     critical_template,
     find_all_critical_subcategories,
     igusa_zacharia,
-    proper_subcategories_gldim_le2,
     second_term_engine,
     second_term_from_relations,
     third_syzygy_test_auto,
@@ -28,11 +27,12 @@ from critalg.homology import (
     pd_of_simple,
     resolution_of_simple,
 )
-from critalg.posets import hasse_quiver_of, posets_up_to_iso
 from critalg.presentation import from_poset, opposite_algebra
+from critalg.quivers import convex_mask
 from critalg.randgen import RandomModel, random_algebra
 from critalg.report import build_report, render_report
 from critalg.specfile import parse_spec
+from posets import hasse_quiver_of, posets_up_to_iso
 
 CORPUS_SIZE = 1000
 
@@ -165,7 +165,11 @@ def test_template_catalogue_suite():
                 )
                 and _terms_partition(T, src)
                 and _terms_partition(opposite_algebra(T), snk)
-                and proper_subcategories_gldim_le2(T)
+                and all(
+                    gl_dim(T.restrict_mask(mask)) <= 2
+                    for mask in range(1, (1 << T.n) - 1)
+                    if convex_mask(T.reach_rows, mask)
+                )
             )
             if not good:
                 ok = False

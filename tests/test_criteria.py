@@ -2,7 +2,6 @@ import pytest
 
 from critalg.errors import (
     ClassificationGap,
-    DualizationRequired,
     InvalidTemplate,
     NotAnIncidenceAlgebra,
     NotAThirdSyzygyPair,
@@ -15,19 +14,16 @@ from critalg.criteria import (
     classify_critical,
     critical_template,
     find_all_critical_subcategories,
-    find_critical_subcategory,
     find_critical_subcategory_guided,
     gldim2_criterion,
     igusa_zacharia,
-    is_critical,
     pd_spectrum_check,
     second_term_engine,
     second_term_from_relations,
-    third_syzygy_test,
     third_syzygy_test_auto,
 )
 from critalg.homology import ext_dim, gl_dim, pd_of_simple
-from critalg.presentation import from_poset, full_subcategory
+from critalg.presentation import from_poset
 from critalg.quivers import Quiver, all_paths
 from critalg.randgen import RandomModel, random_algebra
 
@@ -78,15 +74,15 @@ def test_syzygy_config_chain6(chain6):
 
 
 def test_third_syzygy_test_values(arc4, crown, chain6):
-    assert third_syzygy_test(arc4, "1", "4") is True
-    assert third_syzygy_test(crown, "1", crown.names[-1]) is True
-    assert third_syzygy_test(chain6, "1", "6") is False
+    assert third_syzygy_test_auto(arc4, "1", "4") == (True, "primal")
+    assert third_syzygy_test_auto(crown, "1", crown.names[-1]) == (True, "primal")
+    assert third_syzygy_test_auto(chain6, "1", "6") == (False, "primal")
 
 
 def test_third_syzygy_requires_dualization():
     T = critical_template("A", 3)
-    with pytest.raises(DualizationRequired):
-        third_syzygy_test(T, "1", T.names[-1])
+    cfg = build_syzygy_config(T, "1", T.names[-1])
+    assert cfg.s < cfg.r
     predicted, side = third_syzygy_test_auto(T, "1", T.names[-1])
     assert side == "dual" and predicted is True
 
@@ -127,10 +123,10 @@ def test_build_critical_candidate_requires_pair(chain6):
 
 
 def test_is_critical_values(arc4, diamond6, square, crown):
-    assert is_critical(arc4)
-    assert not is_critical(diamond6)
-    assert not is_critical(square)
-    assert is_critical(crown)
+    assert check_critical(arc4).is_critical
+    assert not check_critical(diamond6).is_critical
+    assert not check_critical(square).is_critical
+    assert check_critical(crown).is_critical
 
 
 def test_check_critical_reports_reason(diamond6):
@@ -155,7 +151,7 @@ def test_classify_round_trips():
 
 
 def test_classify_full_subcategory(diamond6):
-    B = full_subcategory(diamond6, ["1", "2", "5", "6"])
+    B = diamond6.restrict_mask(diamond6.mask_of(["1", "2", "5", "6"]))
     assert classify_critical(B).display == "A_1"
 
 
@@ -165,7 +161,7 @@ def test_classification_gap_on_non_catalogue_critical():
     q = Quiver(["1", "2", "3", "4", "5"],
                [("1", "2"), ("2", "3"), ("2", "4"), ("3", "5"), ("4", "5")])
     A = from_poset(q, [("1", "3"), ("1", "4"), ("2", "5")])
-    assert is_critical(A)
+    assert check_critical(A).is_critical
     with pytest.raises(ClassificationGap):
         classify_critical(A)
 
@@ -181,8 +177,7 @@ def test_find_critical_diamond6(diamond6):
     subsets = {r.subset: r.template_display for r in reports}
     assert subsets[("1", "2", "5", "6")] == "A_1"
     assert set(subsets) == {("1", "2", "4", "6"), ("1", "2", "5", "6"), ("1", "3", "5", "6")}
-    first = find_critical_subcategory(diamond6)
-    assert first.subset == ("1", "2", "4", "6")
+    assert reports[0].subset == ("1", "2", "4", "6")
 
 
 def test_find_critical_chain6(chain6):
@@ -192,7 +187,6 @@ def test_find_critical_chain6(chain6):
 
 def test_find_critical_hereditary(chain3):
     assert find_all_critical_subcategories(chain3) == []
-    assert find_critical_subcategory(chain3) is None
 
 
 def test_guided_agrees_with_exhaustive(diamond6, chain6, crown):

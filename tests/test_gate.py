@@ -9,9 +9,9 @@ asks first must agree with the certified flag.
 
 import random
 
-from critalg.posets import hasse_quiver_of, posets_up_to_iso
 from critalg.presentation import CERTIFIED, Validity, _certifies, from_poset
 from critalg.quivers import Path, Quiver, all_paths, irreducible_contours
+from posets import hasse_quiver_of, posets_up_to_iso
 
 
 def enumerating_gate(hasse, zeros):

@@ -87,10 +87,9 @@ def test_isomorphism_and_canonical_form_leave_no_cyclic_garbage():
 
 def test_crown_witness_detection(crown, diamond6):
     from critalg.criteria import convex_crown_witness
-    from critalg.presentation import full_subcategory
 
     hit = convex_crown_witness(crown)
     assert hit is not None
-    middle = full_subcategory(crown, hit)
+    middle = crown.restrict_mask(crown.mask_of(hit))
     assert len(middle.quiver.arrows) == 4
     assert convex_crown_witness(diamond6) is None

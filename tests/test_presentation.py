@@ -6,27 +6,23 @@ from critalg.errors import (
     EmptySelection,
     MalformedRelation,
     NotAHasseDiagram,
+    TriangularityViolation,
 )
 from critalg.homology import ext_dim, idim_of_simple, pd_of_simple
-from critalg.criteria import critical_template
-from critalg.posets import hasse_quiver_of, posets_up_to_iso
+from critalg.criteria import critical_template, second_term_from_relations
 from critalg.presentation import (
     IncidenceQuotient,
     SchurianAlgebra,
     as_incidence_quotient,
-    convex_hull,
     from_poset,
-    full_subcategory,
-    hom_support,
-    kill_vertices,
-    minimal_relation_pairs,
-    minimal_relation_pairs_combinatorial,
     minimal_zero_pairs,
     opposite_algebra,
 )
-from critalg.quivers import Quiver
+from critalg.quivers import Quiver, convex_mask
 from critalg.randgen import RandomModel, random_algebra
-from oracles import projective
+from critalg.specfile import load_algebra, render_spec
+from oracles import convex_hull, projective
+from posets import hasse_quiver_of, posets_up_to_iso
 from test_gate import legal_zero_pairs
 
 
@@ -47,11 +43,29 @@ def test_bypass_rejected():
         from_poset(q, [])
 
 
+def test_cyclic_quiver_rejected():
+    q = Quiver(["1", "2", "3"], [("1", "2"), ("2", "3"), ("3", "1")])
+    with pytest.raises(TriangularityViolation, match="quiver has a directed cycle"):
+        from_poset(q, [])
+
+
+def test_each_quiver_is_sorted_once(diamond6, monkeypatch):
+    # reachability is cached on the quiver, and the cycle check, the bypass
+    # check, the zero pairs and the gate all read it
+    sorts = []
+    sort = Quiver.topological_order
+    monkeypatch.setattr(Quiver, "topological_order", lambda q: sorts.append(q) or sort(q))
+    load_algebra(render_spec(diamond6))
+    assert len(sorts) == 1
+    from_poset(Quiver(diamond6.names, diamond6.hasse.arrow_names()), [("1", "4"), ("3", "6")])
+    assert len(sorts) == 2
+
+
 def test_hom_support_examples(diamond6):
-    assert hom_support(diamond6, "1", "5") == 0
-    assert hom_support(diamond6, "2", "5") == 1
+    assert diamond6.hom("1", "5") == 0
+    assert diamond6.hom("2", "5") == 1
     for x in diamond6.names:
-        assert hom_support(diamond6, x, x) == 1
+        assert diamond6.hom(x, x) == 1
 
 
 def test_hom_support_matches_projective_dims(diamond6, chain6, crown):
@@ -60,31 +74,31 @@ def test_hom_support_matches_projective_dims(diamond6, chain6, crown):
         for x in A.names:
             P = projective(A, x)
             for y in A.names:
-                assert P.dim_at(y) == hom_support(A, x, y)
+                assert P.dim_at(y) == A.hom(x, y)
 
 
 def test_full_subcategory_a1_shape(diamond6, chain6, arc4):
     from critalg.criteria import classify_critical
 
     for A in (diamond6, chain6):
-        B = full_subcategory(A, ["1", "2", "5", "6"])
+        B = A.restrict_mask(A.mask_of(["1", "2", "5", "6"]))
         assert set(B.quiver.arrow_names()) == {("1", "2"), ("2", "5"), ("5", "6")}
         assert ("1", "5") in B.zero_pairs and ("2", "6") in B.zero_pairs
         assert classify_critical(B).display == "A_1"
 
 
 def test_full_subcategory_identity(diamond6):
-    assert full_subcategory(diamond6, diamond6.names) == diamond6
+    assert diamond6.restrict_mask(diamond6.mask_of(diamond6.names)) == diamond6
 
 
 def test_full_subcategory_idempotent(diamond6):
-    B = full_subcategory(diamond6, ["1", "2", "5", "6"])
-    assert full_subcategory(B, B.names) == B
+    B = diamond6.restrict_mask(diamond6.mask_of(["1", "2", "5", "6"]))
+    assert B.restrict_mask(B.mask_of(B.names)) == B
 
 
 def test_full_subcategory_empty(diamond6):
     with pytest.raises(EmptySelection):
-        full_subcategory(diamond6, [])
+        diamond6.restrict_mask(diamond6.mask_of([]))
 
 
 def test_convex_hull_examples(diamond6, chain3, chain6):
@@ -109,12 +123,10 @@ def _hull_pairs(A):
 
 
 def test_convex_hull_is_convex(diamond6, chain6):
-    from critalg.quivers import is_convex
-
     for A in (diamond6, chain6):
         for i, j in _hull_pairs(A):
             C = convex_hull(A, i, j)
-            assert is_convex(A.quiver, C.names)
+            assert convex_mask(A.reach_rows, A.mask_of(C.names))
 
 
 def test_hull_ext_restriction(diamond6, chain6):
@@ -145,55 +157,30 @@ def test_pd_id_duality(diamond6):
         assert pd_of_simple(diamond6, x) == idim_of_simple(op, x)
 
 
-def test_kill_vertices_chain(chain3):
-    B = kill_vertices(chain3, ["2"])
-    assert B.names == ("1", "3")
-    assert B.hom("1", "3") == 0
-    assert B.quiver.arrow_names() == []
-
-
-def test_kill_vertices_square(square):
-    B = kill_vertices(square, ["2"])
-    assert set(B.quiver.arrow_names()) == {("1", "3"), ("3", "4")}
-    assert B.hom("1", "4") == 1
-
-
-def test_kill_vertices_empty_set(diamond6):
-    assert kill_vertices(diamond6, []) == diamond6
-    with pytest.raises(EmptySelection):
-        kill_vertices(diamond6, diamond6.names)
-
-
-def test_mask_reindexing_matches_brute_force(diamond6, chain6, crown, arc4, square, oracles):
-    # every vertex mask: the restriction keeps hom between survivors, and the
-    # quotient keeps it only along a skeleton path that avoids the killed set
+def test_mask_reindexing_matches_brute_force(diamond6, chain6, crown, arc4, square):
+    # every vertex mask: the restriction keeps hom between survivors
     corpus = [diamond6, chain6, crown, arc4, square, random_algebra(RandomModel(seed=5, n=8))]
     for A in corpus:
-        arrows = A.quiver.arrow_names()
         for mask in range(1 << A.n):
             kept = [v for i, v in enumerate(A.names) if mask >> i & 1]
-            killed = [v for v in A.names if v not in kept]
             if not kept:
                 with pytest.raises(EmptySelection):
                     A.restrict_mask(mask)
-                with pytest.raises(EmptySelection):
-                    kill_vertices(A, killed)
                 continue
             R = A.restrict_mask(mask)
-            K = kill_vertices(A, killed)
-            assert R.names == K.names == tuple(kept)
-            inside = [(s, t) for s, t in arrows if s in kept and t in kept]
+            assert R.names == tuple(kept)
             for x in kept:
                 for y in kept:
                     assert R.hom(x, y) == A.hom(x, y)
-                    avoids = x == y or oracles.reaches(inside, x, y)
-                    assert K.hom(x, y) == (A.hom(x, y) and avoids)
 
 
 def test_minimal_relation_pairs(arc4, square, chain3):
-    assert minimal_relation_pairs(arc4) == {("1", "3"), ("2", "4")}
-    assert minimal_relation_pairs(square) == {("1", "4")}
-    assert minimal_relation_pairs(chain3) == set()
+    def pairs(A):
+        return {(x, y) for x in A.names for y in A.names if ext_dim(A, x, y, 2)}
+
+    assert pairs(arc4) == {("1", "3"), ("2", "4")}
+    assert pairs(square) == {("1", "4")}
+    assert pairs(chain3) == set()
 
 
 def test_minimal_relation_fast_path_agrees(diamond6, chain6, crown, square):
@@ -204,7 +191,7 @@ def test_minimal_relation_fast_path_agrees(diamond6, chain6, crown, square):
         for x in A.names:
             for b in resolution_of_simple(A, x).support(2):
                 engine.add((x, b))
-        assert minimal_relation_pairs_combinatorial(A) == engine
+        assert {(x, b) for x in A.names for b in second_term_from_relations(A, x)} == engine
 
 
 def test_sources_sinks(diamond6, arc4):
@@ -246,7 +233,7 @@ def test_minimal_zero_pairs_and_round_trip(diamond6, chain6, arc4):
         assert sorted(minimal_zero_pairs(A)) == sorted(
             (A.names[s], A.names[t]) for s, t in A.declared_zeros
         )
-        rebuilt = as_incidence_quotient(full_subcategory(A, A.names))
+        rebuilt = as_incidence_quotient(A.restrict_mask(A.mask_of(A.names)))
         assert rebuilt.hom_rows == A.hom_rows
 
 

@@ -26,8 +26,8 @@ from critalg.homology import (
     pd_of_simple,
     resolution_of_simple,
 )
-from critalg.presentation import convex_hull, full_subcategory
 from critalg.randgen import RandomModel, random_algebra
+from oracles import convex_hull
 
 
 def _instances(count, sizes=(4, 5, 6, 7)):
@@ -107,7 +107,7 @@ def test_corpus_gaps_are_genuine_relation_variants():
                 gaps.append((A, r.subset))
     checked = 0
     for A, subset in gaps[:6]:
-        B = full_subcategory(A, subset)
+        B = A.restrict_mask(A.mask_of(subset))
         assert check_critical(B).is_critical
         for cand in _candidates_for_size(B.n):
             for opp in (False, True):
@@ -271,9 +271,9 @@ def test_audited_search_matches_screened_search():
 
 def _idempotent_ideal_quotient(A, victims):
     # a hom class dies iff it factors through a killed vertex; note this is
-    # NOT kill_vertices' path-avoidance rule (on the commutative square the
-    # 1~>4 class factors through the killed middle although a parallel path
-    # avoids it)
+    # NOT the rule that keeps hom along any path avoiding the killed set (on
+    # the commutative square the 1~>4 class factors through the killed middle
+    # although a parallel path avoids it)
     from critalg.presentation import SchurianAlgebra
 
     kill = {A.index[v] for v in victims}

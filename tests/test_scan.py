@@ -30,11 +30,12 @@ from critalg.criteria import (
 )
 from critalg.homology import idim_of_simple, minimal_injective_coresolution, pd_of_simple, resolution_of_simple
 from critalg.iso import are_isomorphic
-from critalg.posets import hasse_quiver_of, posets_up_to_iso
-from critalg.presentation import SchurianAlgebra, convex_hull, from_poset
+from critalg.presentation import SchurianAlgebra, from_poset
 from critalg.quivers import Quiver, _bits, _sub_rows, convex_mask, transpose
 from critalg.randgen import RandomModel, random_algebra
 from critalg.specfile import load_algebra
+from oracles import convex_hull
+from posets import hasse_quiver_of, posets_up_to_iso
 
 TEMPLATES = [("A", 1), ("A", 2), ("A", 3), ("B", 1), ("B", 3), ("Q", 2), ("Q", 3)]
 
