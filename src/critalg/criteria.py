@@ -39,7 +39,7 @@ from .presentation import (
     opposite_algebra,
     second_syzygy_multiplicity,
 )
-from .quivers import Quiver, _bits, _popcount, _sub_rows, convex_mask, transpose
+from .quivers import Quiver, _bits, _popcount, _sub_rows, convex_mask, covers, transpose
 
 log = logging.getLogger(__name__)
 
@@ -51,9 +51,10 @@ def second_term_from_relations(algebra: SchurianAlgebra, i: str) -> dict[str, in
     """Multiset of second-term summands of the resolution of the simple at i,
     predicted from minimal relations alone (no resolution computed)."""
     ii = algebra.index[str(i)]
+    q = algebra.quiver
     out = {}
     for b in _bits(algebra.reach_rows[ii] & ~(1 << ii)):
-        m = second_syzygy_multiplicity(algebra, ii, b)
+        m = second_syzygy_multiplicity(q.out_mask, q.in_mask, algebra.hom_cols, ii, b)
         if m:
             out[algebra.names[b]] = m
     return out
@@ -147,8 +148,9 @@ def build_syzygy_config(algebra: SchurianAlgebra, i: str, j: str, *, dualized: b
 
 def _third_test_from_config(algebra: SchurianAlgebra, cfg: SyzygyConfig) -> bool:
     jj = algebra.index[cfg.target]
+    q = algebra.quiver
     minimal_witness = any(
-        second_syzygy_multiplicity(algebra, algebra.index[a], jj) >= 1
+        second_syzygy_multiplicity(q.out_mask, q.in_mask, algebra.hom_cols, algebra.index[a], jj) >= 1
         for a in cfg.s_set
     )
     count_ok = cfg.kernel_multiplicity >= 1
@@ -278,20 +280,6 @@ class CriticalTemplate:
     def display(self) -> str:
         base = f"{self.kind}_{self.param}"
         return base + ("^op" if self.opposite else "")
-
-    @property
-    def size(self) -> int:
-        return template_size(self.kind, self.param)
-
-
-def template_size(kind: str, param: int) -> int:
-    if kind == "A":
-        return param + 3
-    if kind == "B":
-        return 6 if param == 1 else 2 * param + 1
-    if kind == "Q":
-        return 2 * param + 2
-    raise InvalidTemplate(f"unknown template kind {kind!r}")
 
 
 def critical_template(kind: str, param: int, opposite: bool = False) -> SchurianAlgebra:
@@ -442,33 +430,24 @@ def _lone_ends(rows: Sequence[int], cols: Sequence[int], mask: int) -> tuple[int
     return src, snk
 
 
-def _level2_dims(B: SchurianAlgebra, i: int) -> tuple[list[int], list[int]]:
-    """(dims of ker f_1, dims of the second term) for the simple at i,
-    computed without linear algebra."""
-    q = B.quiver
-    branches = list(_bits(q.out_mask[i]))
-    ker1 = [0] * B.n
-    for v in range(B.n):
-        tot = sum(B.hom_bit(a, v) for a in branches)
-        if v != i:
-            tot -= B.hom_bit(i, v)
-        ker1[v] = tot
-    q2 = [0] * B.n
-    for b in range(B.n):
-        m = second_syzygy_multiplicity(B, i, b)
+def _pd_le2_fast(rows: Sequence[int], i: int) -> bool:
+    """Exact: pd of the simple at i, over the algebra with hom rows ``rows``,
+    is <= 2 iff the cover of ker f_1 has the same vertexwise dimensions (its
+    kernel is then zero).  Decided on the rows alone, without linear algebra
+    or an algebra object."""
+    cols = transpose(rows)
+    out = covers(rows)
+    into = transpose(out)
+    q2 = [0] * len(rows)
+    for b in range(len(rows)):
+        m = second_syzygy_multiplicity(out, into, cols, i, b)
         if m:
-            for v in _bits(B.hom_rows[b]):
+            for v in _bits(rows[b]):
                 q2[v] += m
-    return ker1, q2
-
-
-def _pd_le2_fast(B: SchurianAlgebra, i: int) -> bool:
-    """Exact: pd of the simple at i is <= 2 iff the cover of ker f_1 has the
-    same vertexwise dimensions (its kernel is then zero)."""
-    ker1, q2 = _level2_dims(B, i)
-    for v in range(B.n):
-        if q2[v] != ker1[v]:
-            if q2[v] < ker1[v]:
+    for v, col in enumerate(cols):
+        ker1 = _popcount(out[i] & col) - (v != i and col >> i & 1)
+        if q2[v] != ker1:
+            if q2[v] < ker1:
                 raise InternalError("second-term dimensions below the first syzygy")
             return False
     return True
@@ -508,19 +487,20 @@ def _i_iv_family(
 ) -> Iterator[tuple[int, _CriticalShape]]:
     """Each of ``masks`` whose induced algebra satisfies conditions i)-iv),
     in the order given, with that algebra as a ``_CriticalShape``.  The size
-    and the lone source and sink are decided on the ambient hom rows, so
-    only the masks that pass reach an induced algebra; the combinatorial pd
-    screen prunes those before the engine confirms (with audit=True the
-    screen is bypassed).  Past ``deadline``, a ``time.monotonic`` reading
-    checked at every mask, the scan raises TimeBudgetExceeded.
+    and the lone source and sink are decided on the ambient hom rows, and
+    the combinatorial pd screen on the induced hom rows, so only the masks
+    that pass all three reach an induced algebra, which the engine confirms
+    (with audit=True the screen is bypassed).  Past ``deadline``, a
+    ``time.monotonic`` reading checked at every mask, the scan raises
+    TimeBudgetExceeded.
 
     The induced algebra on a mask is ``_sub_rows(rows, mask)`` under the
     members' names, and the screen, the engine, the classification and the
     local ends read the rows alone.  So each induced shape is decided once
-    per call, keyed on those rows: its first mask builds the algebra and
-    decides it, and later masks of the shape reuse the verdict."""
+    per call, keyed on those rows: its first mask decides it, and later
+    masks of the shape reuse the verdict."""
     rows = algebra.hom_rows
-    cols = transpose(rows)
+    cols = algebra.hom_cols
     shapes: dict[tuple[int, ...], _CriticalShape | None] = {}
     for mask in masks:
         if deadline is not None and time.monotonic() > deadline:
@@ -534,19 +514,22 @@ def _i_iv_family(
         try:
             shape = shapes[key]
         except KeyError:
-            shape = shapes[key] = _decide_shape(algebra, mask, ends, audit)
+            shape = shapes[key] = _decide_shape(algebra, mask, key, ends, audit)
         if shape is not None:
             yield mask, shape
 
 
-def _decide_shape(algebra: SchurianAlgebra, mask: int, ends: tuple[int, int], audit: bool) -> _CriticalShape | None:
-    """The induced algebra on ``mask``, whose lone ends are the ambient
-    indices ``ends``, as a ``_CriticalShape`` if it satisfies i)-iv), else
-    None."""
+def _decide_shape(
+    algebra: SchurianAlgebra, mask: int, key: Sequence[int], ends: tuple[int, int], audit: bool
+) -> _CriticalShape | None:
+    """The induced algebra on ``mask``, with hom rows ``key`` and lone ends
+    at the ambient indices ``ends``, as a ``_CriticalShape`` if it satisfies
+    i)-iv), else None.  The pd screen reads ``key``, so the algebra is built
+    only for the shapes that pass it."""
+    if not audit and _pd_le2_fast(key, _popcount(mask & ((1 << ends[0]) - 1))):
+        return None
     B = algebra.restrict_mask(mask)
     src, snk = algebra.names[ends[0]], algebra.names[ends[1]]
-    if not audit and _pd_le2_fast(B, B.index[src]):
-        return None
     if not _satisfies_i_iv(B, src, snk):
         return None
     return _critical_shape(B, src, snk)
@@ -563,7 +546,7 @@ def check_critical(B: SchurianAlgebra) -> CriticalityResult:
     pd_B S_i' >= pd_C S_i' = 3, so by iv) i' is the source of B; dually the
     sink of C is the sink of B.  Every vertex of B lies between its lone
     source and lone sink, so the convex C holds them all and C = B."""
-    ends = _lone_ends(B.hom_rows, transpose(B.hom_rows), (1 << B.n) - 1)
+    ends = _lone_ends(B.hom_rows, B.hom_cols, (1 << B.n) - 1)
     if ends is None or not _satisfies_i_iv(B, B.names[ends[0]], B.names[ends[1]]):
         return CriticalityResult(False, ("conditions i)-iv) fail for the algebra itself",))
     return CriticalityResult(True, (), B.names[ends[0]], B.names[ends[1]])

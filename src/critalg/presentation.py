@@ -30,7 +30,7 @@ from .errors import (
     NotIntervalMonotone,
     TriangularityViolation,
 )
-from .quivers import Quiver, _bits, _popcount, _sub_rows, has_bypass, lexmin_path, transpose
+from .quivers import Quiver, _bits, _popcount, _sub_rows, classes, cover_arrows, has_bypass, lexmin_path, transpose
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,7 @@ class SchurianAlgebra:
         # y; the transpose checks hom(y,z) one arrow before y alike
         q, names = self.quiver, self.names
         for flip, rows, reach, step in ((False, self.hom_rows, self.reach_rows, q.out_mask),
-                                        (True, transpose(self.hom_rows), transpose(self.reach_rows), q.in_mask)):
+                                        (True, self.hom_cols, transpose(self.reach_rows), q.in_mask)):
             for x in range(self.n):
                 for y in _bits(reach[x] & ~rows[x]):
                     beyond = step[y] & rows[x]
@@ -121,15 +121,13 @@ class SchurianAlgebra:
     @cached_property
     def quiver(self) -> Quiver:
         """Arrow skeleton: x->y iff hom(x,y)=1 with no hom-factorization."""
-        arrows = []
-        cols = transpose(self.hom_rows)
-        for x in range(self.n):
-            row = self.hom_rows[x] & ~(1 << x)
-            for y in _bits(row):
-                through = row & cols[y] & ~(1 << y)
-                if not through:
-                    arrows.append((self.names[x], self.names[y]))
-        return Quiver(self.names, arrows)
+        names = self.names
+        return Quiver(names, [(names[x], names[y]) for x, y in cover_arrows(self.hom_rows)])
+
+    @cached_property
+    def hom_cols(self) -> tuple[int, ...]:
+        """The transpose of ``hom_rows``: bit x of column y iff hom(x,y) = 1."""
+        return tuple(transpose(self.hom_rows))
 
     @cached_property
     def reach_rows(self) -> tuple[int, ...]:
@@ -308,22 +306,8 @@ def _interval_classes(hasse: Quiver, above: Sequence[int], x: int, y: int) -> li
     comparability edge between two cones puts its lower end in both, so the
     components are the classes of cones under "intersects".
     """
-    reach = hasse._reach_rows
     strictly_above_y = above[y] & ~(1 << y)
-    classes: list[int] = []
-    for m in _bits(hasse.out_mask[x]):
-        cone = reach[m] & strictly_above_y
-        if not cone:
-            continue
-        merged, rest = cone, []
-        for c in classes:
-            if c & cone:
-                merged |= c
-            else:
-                rest.append(c)
-        rest.append(merged)
-        classes = rest
-    return classes
+    return classes(hasse._reach_rows[m] & strictly_above_y for m in _bits(hasse.out_mask[x]))
 
 
 def _split_row(hasse: Quiver, above: Sequence[int], x: int) -> int:
@@ -373,7 +357,7 @@ def opposite_algebra(algebra: SchurianAlgebra) -> SchurianAlgebra:
         cached = cached()
     if cached is None:
         cached = SchurianAlgebra(
-            algebra.names, transpose(algebra.hom_rows), label=(algebra.label + "^op") if algebra.label else "op",
+            algebra.names, algebra.hom_cols, label=(algebra.label + "^op") if algebra.label else "op",
             validity=algebra.validity, monotone=True,
         )
         algebra._cache["op"] = cached
@@ -414,48 +398,27 @@ def as_incidence_quotient(algebra: SchurianAlgebra) -> IncidenceQuotient:
 # -- minimal relations -------------------------------------------------------
 
 
-def second_syzygy_multiplicity(algebra: SchurianAlgebra, i: int, b: int) -> int:
+def second_syzygy_multiplicity(out: Sequence[int], into: Sequence[int], cols: Sequence[int], i: int, b: int) -> int:
     """Multiplicity of the projective at b in the second resolution term of
-    the simple at i, computed locally from hom and the arrow skeleton.
+    the simple at i, computed locally from the arrow skeleton's out- and
+    in-masks ``out`` and ``into`` and the hom columns ``cols``.
 
     Derived from the kernel of Q_1 -> rad P_i: the kernel space at b is cut
     by branch coordinates A(b) = {arrow targets a of i with hom(a,b)=1}; each
-    in-arrow z->b glues the branches it sees (A(z)) and is "marking" when its
-    kernel space surjects onto its trace (hom(i,z)=0 or a branch is dropped).
-    The multiplicity is #unmarked components minus hom(i,b).
+    in-arrow z->b glues the branches it sees (its trace A(z) & A(b)) and is
+    "marking" when its kernel space surjects onto its trace (hom(i,z)=0 or a
+    branch of A(z) is dropped).  The multiplicity is the number of classes
+    of A(b) under the traces that hold no marking trace, minus hom(i,b).
     """
-    if b == i:
+    branches = out[i] & cols[b]
+    if b == i or not branches:
         return 0
-    q = algebra.quiver
-    branches = [a for a in _bits(q.out_mask[i]) if algebra.hom_bit(a, b)]
-    if not branches:
-        return 0
-    pos = {a: k for k, a in enumerate(branches)}
-    parent = list(range(len(branches)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    marked_elems = []
-    bset = set(branches)
-    for z in _bits(q.in_mask[b]):
-        if z == i:
-            continue
-        az = [a for a in _bits(q.out_mask[i]) if algebra.hom_bit(a, z)]
-        trace = [a for a in az if a in bset]
-        if not trace:
-            continue
-        first = pos[trace[0]]
-        for a in trace[1:]:
-            ra, rf = find(pos[a]), find(first)
-            if ra != rf:
-                parent[ra] = rf
-        if algebra.hom_bit(i, z) == 0 or len(trace) < len(az):
-            marked_elems.append(first)
-    marked_roots = {find(k) for k in marked_elems}
-    roots = {find(k) for k in range(len(branches))}
-    unmarked = len(roots - marked_roots)
-    return max(unmarked - algebra.hom_bit(i, b), 0)
+    traces, marked = [], 0
+    for z in _bits(into[b] & ~(1 << i)):
+        az = out[i] & cols[z]
+        trace = az & branches
+        traces.append(trace)
+        if not cols[z] >> i & 1 or trace != az:
+            marked |= trace
+    unmarked = sum(not c & marked for c in classes([*(1 << a for a in _bits(branches)), *traces]))
+    return max(unmarked - (cols[b] >> i & 1), 0)

@@ -172,20 +172,45 @@ def has_bypass(quiver: Quiver) -> bool:
     return False
 
 
-def cover_arrows(rows: Sequence[int]) -> list[tuple[int, int]]:
-    """The covering pairs (a, b) of a transitively closed order relation:
-    b lies strictly below a, and no c lies strictly between them.
+def covers(rows: Sequence[int]) -> list[int]:
+    """The cover rows of a relation: bit b of row a iff b is in ``rows[a]``,
+    b != a, and no c outside {a, b} has c in ``rows[a]`` and b in ``rows[c]``.
 
-    Bit b of ``rows[a]`` reads a >= b; diagonal bits may be set or not.
+    That is the cover relation of an order, and the arrow skeleton of any
+    hom support, transitively closed or not.  Bit b of ``rows[a]`` reads
+    a >= b; diagonal bits may be set or not.
     """
-    arrows = []
+    out = []
     for a, row in enumerate(rows):
         below = row & ~(1 << a)
         deeper = 0
         for c in _bits(below):
             deeper |= rows[c] & ~(1 << c)
-        arrows.extend((a, b) for b in _bits(below & ~deeper))
-    return arrows
+        out.append(below & ~deeper)
+    return out
+
+
+def cover_arrows(rows: Sequence[int]) -> list[tuple[int, int]]:
+    """The pairs (a, b) of ``covers(rows)``, in index order."""
+    return [(a, b) for a, row in enumerate(covers(rows)) for b in _bits(row)]
+
+
+def classes(masks: Iterable[int]) -> list[int]:
+    """The classes of the nonzero ``masks`` under the transitive closure of
+    "intersects", each as the union of its members: pairwise disjoint masks."""
+    out: list[int] = []
+    for mask in masks:
+        if not mask:
+            continue
+        merged, rest = mask, []
+        for c in out:
+            if c & mask:
+                merged |= c
+            else:
+                rest.append(c)
+        rest.append(merged)
+        out = rest
+    return out
 
 
 def transpose(rows: Sequence[int]) -> list[int]:

@@ -1,16 +1,18 @@
 """Generated inputs: on Hasse quivers of random partial orders with random
 zero sets, ``homology._resolve_simple`` must agree with the representation
-engine of ``oracles`` at every simple, and the boolean certification gate
-with the one that gives reasons.  Hypothesis shrinks a counterexample to a
-minimal order and zero set."""
+engine of ``oracles`` at every simple, the boolean certification gate with
+the one that gives reasons, and the level-2 data of the pd screen with the
+engine.  Hypothesis shrinks a counterexample to a minimal order and zero
+set."""
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from critalg.homology import _resolve_simple  # noqa: E402
-from critalg.presentation import _certifies, _certify, from_poset  # noqa: E402
+from critalg.criteria import _pd_le2_fast  # noqa: E402
+from critalg.homology import _resolve_simple, pd_of_simple, resolution_of_simple  # noqa: E402
+from critalg.presentation import _certifies, _certify, from_poset, second_syzygy_multiplicity  # noqa: E402
 from critalg.quivers import Quiver, _bits, cover_arrows  # noqa: E402
 from oracles import _resolve_by_covers, simple  # noqa: E402
 
@@ -61,3 +63,21 @@ def test_certifies_matches_the_certified_flag(presentation):
     q = Quiver([str(k) for k in range(1, n + 1)], arrows)
     pairs = [(q.index[s], q.index[t]) for s, t in zeros]
     assert _certifies(q, pairs) == _certify(q, pairs).certified
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(hasse_quivers_with_zero_sets(max_n=10), st.data())
+def test_level2_data_matches_the_engine(presentation, data):
+    # on the algebra and on its restriction to a drawn mask, whose skeleton
+    # need not be a Hasse quiver: the pd screen is exact, and so is the
+    # second-term multiplicity of every projective
+    n, arrows, zeros = presentation
+    A = from_poset(Quiver([str(k) for k in range(1, n + 1)], arrows), zeros)
+    for B in (A, A.restrict_mask(data.draw(st.integers(1, (1 << n) - 1), label="mask"))):
+        q = B.quiver
+        for i, x in enumerate(B.names):
+            assert _pd_le2_fast(B.hom_rows, i) == (pd_of_simple(B, x) <= 2), x
+            res = resolution_of_simple(B, x)
+            for b, y in enumerate(B.names):
+                got = second_syzygy_multiplicity(q.out_mask, q.in_mask, B.hom_cols, i, b)
+                assert got == res.multiplicity(2, y), (x, y)

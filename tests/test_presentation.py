@@ -18,7 +18,7 @@ from critalg.presentation import (
     minimal_zero_pairs,
     opposite_algebra,
 )
-from critalg.quivers import Quiver, convex_mask
+from critalg.quivers import Quiver, convex_mask, covers
 from critalg.randgen import RandomModel, random_algebra
 from critalg.specfile import load_algebra, render_spec
 from oracles import convex_hull, projective
@@ -248,10 +248,21 @@ def test_random_algebra_determinism_and_bounds():
         RandomModel(seed=1, n=0)
 
 
+def brute_force_skeleton(C):
+    """x->y iff hom(x,y) = 1 and no z outside {x, y} has hom(x,z) = hom(z,y) = 1."""
+    n, hom = C.n, C.hom_bit
+    return [
+        sum(1 << y for y in range(n) if y != x and hom(x, y)
+            and not any(hom(x, z) and hom(z, y) for z in range(n) if z not in (x, y)))
+        for x in range(n)
+    ]
+
+
 def test_trusted_constructions_pass_the_checks_they_skip(diamond6, chain6, crown, arc4, square):
     # from_poset, restrict_mask and opposite_algebra skip the triangularity
     # and monotonicity checks, and an incidence quotient takes its Hasse
-    # quiver as skeleton; the full checks and rebuild must agree on the corpus
+    # quiver as skeleton; the full checks and rebuild must agree on the
+    # corpus, and covers of the hom rows must be the brute-force skeleton
     rng = random.Random(7)
     corpus = [diamond6, chain6, crown, arc4, square]
     corpus += [critical_template(k, p) for k, p in (("A", 1), ("A", 3), ("B", 1), ("B", 3), ("Q", 3))]
@@ -269,6 +280,7 @@ def test_trusted_constructions_pass_the_checks_they_skip(diamond6, chain6, crown
             for C in (B, opposite_algebra(B)):
                 C._check_acyclic()
                 C._check_monotone()
+                assert covers(C.hom_rows) == brute_force_skeleton(C)
                 built += 1
     assert built > 5000
 

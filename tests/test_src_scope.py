@@ -3,7 +3,9 @@
 Every function, method and class defined in the package (outside
 ``__init__``, whose re-exports do not count) must be named somewhere else in
 the package, be wrapped by a benchmark span in ``perfbench/spans.py``, or
-be allowed below with its reason.  A definition that nothing names is
+be allowed below with its reason.  A method or property counts as named
+only where code reads it as an attribute, so that a local variable of the
+same name does not keep it.  A definition that nothing names is
 library-only API: move it to the tests that use it, or delete it.
 """
 
@@ -29,9 +31,9 @@ ALLOWED = {
 }
 
 
-def _names(tree):
+def _names(tree, attributes_only=False):
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not attributes_only:
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
@@ -39,18 +41,22 @@ def _names(tree):
 
 def _unnamed_definitions():
     """(module, name) of every non-dunder definition that no code outside
-    its own body names."""
-    defs, named = [], Counter()
+    its own body names; a method or property, that none reads as an
+    attribute."""
+    defs, named, read = [], Counter(), Counter()
     for path in sorted(SRC.glob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
         named.update(_names(tree))
+        read.update(_names(tree, attributes_only=True))
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 if not (node.name.startswith("__") and node.name.endswith("__")):
-                    defs.append((path.stem, node.name, Counter(_names(node))[node.name]))
-    return {(mod, name) for mod, name, own in defs if named[name] == own}
+                    attr = id(node) in methods
+                    defs.append((path.stem, node.name, attr, Counter(_names(node, attr))[node.name]))
+    return {(mod, name) for mod, name, attr, own in defs if (read if attr else named)[name] == own}
 
 
 def test_every_definition_in_src_is_named_elsewhere():
