@@ -21,17 +21,23 @@ from .criteria import (
     template_catalogue,
 )
 from .errors import CritalgError, InternalError, InvalidTemplate, SpecError
+from .presentation import as_incidence_quotient
 from .randgen import RandomModel, random_algebra
 from .report import (
     build_report,
     coresolution_line,
     critical_json,
+    critical_line,
+    json_bytes,
     render_report,
     resolution_line,
 )
 from .specfile import load_algebra, render_spec
 
 USAGE_ERROR, VALIDATION_ERROR, DISAGREEMENT, INTERNAL = 1, 2, 3, 4
+
+# the commands that scan vertex subsets, which the size cap stops
+_SCAN_COMMANDS = ("criterion", "critical", "iz", "compare")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -109,16 +115,6 @@ def _load(path: str):
     return load_algebra(text)
 
 
-def _guard_size(algebra, args):
-    if algebra.n > args.max_subset_size and not args.force:
-        print(
-            f"critalg: {algebra.n} vertices exceeds the subset-scan cap "
-            f"{args.max_subset_size}; rerun with --force",
-            file=sys.stderr,
-        )
-        raise SystemExit(VALIDATION_ERROR)
-
-
 def _emit(data: bytes):
     sys.stdout.buffer.write(data)
     sys.stdout.buffer.flush()
@@ -152,19 +148,27 @@ def _dispatch(args) -> int:
     def ms() -> int:
         return int((time.monotonic() - t0) * 1000) if args.timings else 0
 
-    if args.command == "validate":
+    if hasattr(args, "file"):
         algebra = _load(args.file)
-        if args.json:
-            import json
+        small = algebra.n <= args.max_subset_size or args.force
+        if not small and args.command in _SCAN_COMMANDS:
+            print(
+                f"critalg: {algebra.n} vertices exceeds the subset-scan cap "
+                f"{args.max_subset_size}; rerun with --force",
+                file=sys.stderr,
+            )
+            return VALIDATION_ERROR
 
-            _emit((json.dumps({
+    if args.command == "validate":
+        if args.json:
+            _emit(json_bytes({
                 "algebra": algebra.label,
                 "vertices": list(algebra.names),
                 "arrows": [f"{s}->{t}" for s, t in algebra.hasse.arrow_names()],
                 "zero_pairs": [[algebra.names[s], algebra.names[t]] for s, t in algebra.declared_zeros],
                 "certified": algebra.validity.certified,
                 "reasons": list(algebra.validity.reasons),
-            }, indent=2) + "\n").encode())
+            }))
         else:
             lines = [f"algebra {algebra.label}"]
             lines.append("status: certified" if algebra.validity.certified else "status: UNCERTIFIED")
@@ -175,17 +179,12 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command in ("gldim", "criterion"):
-        algebra = _load(args.file)
-        if args.command == "criterion":
-            _guard_size(algebra, args)
-        small = algebra.n <= args.max_subset_size or args.force
         report = build_report(algebra, with_criterion=small, budget_seconds=args.budget_seconds)
         report.timings_ms = ms()
         _emit(render_report(report, "json" if args.json else "text"))
         return 0
 
     if args.command == "resolve":
-        algebra = _load(args.file)
         if args.simple not in algebra.index:
             print(f"critalg: no vertex {args.simple!r}", file=sys.stderr)
             return VALIDATION_ERROR
@@ -194,66 +193,49 @@ def _dispatch(args) -> int:
         else:
             line = resolution_line(algebra, args.simple)
         if args.json:
-            import json
-
-            _emit((json.dumps({"algebra": algebra.label, "simple": args.simple,
-                               "coresolution": bool(args.coresolution), "display": line},
-                              ensure_ascii=False, indent=2) + "\n").encode("utf-8"))
+            _emit(json_bytes({"algebra": algebra.label, "simple": args.simple,
+                              "coresolution": bool(args.coresolution), "display": line}, ensure_ascii=False))
         else:
             _emit((line + "\n").encode("utf-8"))
         return 0
 
     if args.command == "critical":
-        algebra = _load(args.file)
-        _guard_size(algebra, args)
         if args.strategy == "exhaustive":
             reports = find_all_critical_subcategories(algebra, budget_seconds=args.budget_seconds)
         else:
             reports = find_critical_subcategory_guided(algebra, budget_seconds=args.budget_seconds)
-        suffix = "" if (algebra.validity and algebra.validity.certified) else " (uncertified hypotheses)"
+        certified = bool(algebra.validity)
+        suffix = "" if certified else " (uncertified hypotheses)"
         if args.json:
-            import json
-
-            _emit((json.dumps({
+            _emit(json_bytes({
                 "algebra": algebra.label,
                 "strategy": args.strategy,
-                "certified": bool(algebra.validity and algebra.validity.certified),
+                "certified": certified,
                 "critical": [critical_json(r) for r in reports],
-            }, indent=2) + "\n").encode())
+            }))
         elif not reports:
             _emit((f"no critical subcategory{suffix}\n").encode("utf-8"))
         else:
-            out = []
-            for r in reports:
-                out.append(f"critical subcategory: {{{','.join(r.subset)}}} ≅ {r.template_display}{suffix}")
-            _emit(("\n".join(out) + "\n").encode("utf-8"))
+            _emit("".join(critical_line(r.subset, r.template) + suffix + "\n" for r in reports).encode("utf-8"))
         return 0
 
     if args.command == "iz":
-        algebra = _load(args.file)
-        _guard_size(algebra, args)
         verdict = igusa_zacharia(algebra, budget_seconds=args.budget_seconds)
         if args.json:
-            import json
-
-            _emit((json.dumps({"algebra": algebra.label, "gldim_le_2": verdict}, indent=2) + "\n").encode())
+            _emit(json_bytes({"algebra": algebra.label, "gldim_le_2": verdict}))
         else:
             _emit((("gl.dim ≤ 2: yes" if verdict else "gl.dim ≤ 2: no") + "\n").encode("utf-8"))
         return 0
 
     if args.command == "compare":
-        algebra = _load(args.file)
-        _guard_size(algebra, args)
         rep = oracle_compare(algebra, budget_seconds=args.budget_seconds)
         if args.json:
-            import json
-
-            _emit((json.dumps({
+            _emit(json_bytes({
                 "algebra": rep.algebra,
                 "certified": rep.certified,
                 "ok": rep.ok,
                 "checks": [{"name": c.name, "ok": c.ok, "details": c.details} for c in rep.checks],
-            }, indent=2) + "\n").encode())
+            }))
         else:
             _emit(("\n".join(rep.lines()) + "\n").encode("utf-8"))
         if not rep.ok and rep.certified:
@@ -270,8 +252,6 @@ def _dispatch(args) -> int:
             tpl = critical_template(kind, int(param), opposite=args.opposite)
         except ValueError:
             raise InvalidTemplate(f"parameter {param!r} is not an integer")
-        from .presentation import as_incidence_quotient
-
         _emit(render_spec(as_incidence_quotient(tpl)).encode())
         return 0
 

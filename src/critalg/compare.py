@@ -137,5 +137,5 @@ def oracle_compare(algebra: SchurianAlgebra, *, budget_seconds: float | None = N
 
     checks.append(_guarded(CheckResult("criterion soundness (absence means gl.dim <= 2)", True), soundness_body))
 
-    certified = bool(algebra.validity) if algebra.validity is not None else False
+    certified = bool(algebra.validity)
     return ComparisonReport(algebra.label or "unnamed", certified, checks)

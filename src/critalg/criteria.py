@@ -39,7 +39,7 @@ from .presentation import (
     opposite_algebra,
     second_syzygy_multiplicity,
 )
-from .quivers import Quiver, _bits, _popcount, _sub_rows, convex_mask, covers, transpose
+from .quivers import Quiver, _bits, _sub_rows, convex_mask, covers, transpose
 
 log = logging.getLogger(__name__)
 
@@ -86,7 +86,6 @@ class SyzygyConfig:
     mu_q1: int
     mu_q2: int
     hom_source_target: int
-    dualized: bool = False
 
     @property
     def kernel_multiplicity(self) -> int:
@@ -107,7 +106,7 @@ def _path_counts_to(q: Quiver, dst: int) -> list[int]:
     return counts
 
 
-def build_syzygy_config(algebra: SchurianAlgebra, i: str, j: str, *, dualized: bool = False) -> SyzygyConfig:
+def build_syzygy_config(algebra: SchurianAlgebra, i: str, j: str) -> SyzygyConfig:
     ii, jj = algebra.index[str(i)], algebra.index[str(j)]
     res = resolution_of_simple(algebra, i)
     q1 = res.terms[1] if len(res.terms) > 1 else ()
@@ -142,7 +141,6 @@ def build_syzygy_config(algebra: SchurianAlgebra, i: str, j: str, *, dualized: b
         mu_q1=sum(algebra.hom_bit(a, jj) for a in q1),
         mu_q2=sum(algebra.hom_bit(b, jj) for b in q2),
         hom_source_target=algebra.hom_bit(ii, jj) if ii != jj else 0,
-        dualized=dualized,
     )
 
 
@@ -191,7 +189,7 @@ def third_syzygy_test_auto(algebra: SchurianAlgebra, i: str, j: str) -> tuple[bo
     if cfg.s >= cfg.r:
         return _third_test_from_config(algebra, cfg), "primal"
     op = opposite_algebra(algebra)
-    cfg_op = build_syzygy_config(op, j, i, dualized=True)
+    cfg_op = build_syzygy_config(op, j, i)
     if cfg_op.s >= cfg_op.r:
         return _third_test_from_config(op, cfg_op), "dual"
     return _third_test_from_config(algebra, cfg), "primal-unmet"
@@ -234,7 +232,7 @@ def audit_resolution_structure(algebra: SchurianAlgebra, i: str) -> ResolutionAu
     q = algebra.quiver
     first_ok = True
     if len(res.terms) > 1:
-        first_ok = list(res.terms[1]) == sorted(_bits(q.out_mask[ii]))
+        first_ok = res.terms[1] == tuple(_bits(q.out_mask[ii]))
     comp_ok = True
     zero_ok = True
     reach_ok = True
@@ -445,7 +443,7 @@ def _pd_le2_fast(rows: Sequence[int], i: int) -> bool:
             for v in _bits(rows[b]):
                 q2[v] += m
     for v, col in enumerate(cols):
-        ker1 = _popcount(out[i] & col) - (v != i and col >> i & 1)
+        ker1 = (out[i] & col).bit_count() - (v != i and col >> i & 1)
         if q2[v] != ker1:
             if q2[v] < ker1:
                 raise InternalError("second-term dimensions below the first syzygy")
@@ -505,7 +503,7 @@ def _i_iv_family(
     for mask in masks:
         if deadline is not None and time.monotonic() > deadline:
             raise TimeBudgetExceeded("subset scan ran past the time budget")
-        if _popcount(mask) < 4:
+        if mask.bit_count() < 4:
             continue
         ends = _lone_ends(rows, cols, mask)
         if ends is None:
@@ -526,7 +524,7 @@ def _decide_shape(
     at the ambient indices ``ends``, as a ``_CriticalShape`` if it satisfies
     i)-iv), else None.  The pd screen reads ``key``, so the algebra is built
     only for the shapes that pass it."""
-    if not audit and _pd_le2_fast(key, _popcount(mask & ((1 << ends[0]) - 1))):
+    if not audit and _pd_le2_fast(key, (mask & ((1 << ends[0]) - 1)).bit_count()):
         return None
     B = algebra.restrict_mask(mask)
     src, snk = algebra.names[ends[0]], algebra.names[ends[1]]
@@ -562,10 +560,6 @@ class CriticalReport:
     source: str
     sink: str
     resolution_terms: tuple[tuple[str, ...], ...]
-
-    @property
-    def template_display(self) -> str:
-        return self.template.display if self.template else "unclassified"
 
 
 @dataclass(frozen=True)
@@ -691,7 +685,7 @@ def gldim2_criterion(algebra: SchurianAlgebra, *, budget_seconds: float | None =
     nothing (the converse fails).  The engine's global dimension is computed
     alongside and must agree with an absence verdict on certified inputs.
     Past ``budget_seconds`` the subset scan raises TimeBudgetExceeded."""
-    certified = bool(algebra.validity) if algebra.validity is not None else False
+    certified = bool(algebra.validity)
     reports = tuple(find_all_critical_subcategories(algebra, budget_seconds=budget_seconds))
     g = gl_dim(algebra)
     if not reports and g > 2 and certified:

@@ -180,8 +180,7 @@ def _assert_simple_resolution_shape(algebra, i: int, res: ProjResolution):
                     f"summand P{algebra.names[v]} of term {k} is not reachable from {name}"
                 )
     if len(res.terms) > 1:
-        targets = sorted(_bits(algebra.quiver.out_mask[i]))
-        if list(res.terms[1]) != targets:
+        if res.terms[1] != tuple(_bits(algebra.quiver.out_mask[i])):
             raise InternalError(
                 f"first term of the resolution of S{name} is not the arrow-target sum"
             )

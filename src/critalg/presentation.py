@@ -25,12 +25,13 @@ from typing import Iterable, Sequence
 
 from .errors import (
     EmptySelection,
+    InternalError,
     MalformedRelation,
     NotAHasseDiagram,
     NotIntervalMonotone,
     TriangularityViolation,
 )
-from .quivers import Quiver, _bits, _popcount, _sub_rows, classes, cover_arrows, has_bypass, lexmin_path, transpose
+from .quivers import Quiver, _bits, _sub_rows, classes, cover_arrows, has_bypass, lexmin_path, transpose
 
 
 @dataclass(frozen=True)
@@ -291,7 +292,7 @@ def _above_rows(hasse: Quiver) -> list[int]:
     reach = hasse._reach_rows
     rows = [1 << v for v in range(hasse.n)]
     # more descendants first is a topological order
-    for v in sorted(range(hasse.n), key=lambda v: -_popcount(reach[v])):
+    for v in sorted(range(hasse.n), key=lambda v: -reach[v].bit_count()):
         for u in _bits(hasse.in_mask[v]):
             rows[v] |= rows[u]
     return rows
@@ -321,7 +322,7 @@ def _split_row(hasse: Quiver, above: Sequence[int], x: int) -> int:
     # successors and with two in-arrows can split
     row = 0
     for y in _bits(twice):
-        if _popcount(hasse.in_mask[y]) >= 2 and len(_interval_classes(hasse, above, x, y)) >= 2:
+        if hasse.in_mask[y].bit_count() >= 2 and len(_interval_classes(hasse, above, x, y)) >= 2:
             row |= 1 << y
     return row
 
@@ -387,8 +388,6 @@ def as_incidence_quotient(algebra: SchurianAlgebra) -> IncidenceQuotient:
     if the rebuilt hom differs (the algebra was not an incidence quotient)."""
     if isinstance(algebra, IncidenceQuotient):
         return algebra
-    from .errors import InternalError
-
     rebuilt = IncidenceQuotient(algebra.quiver, minimal_zero_pairs(algebra), label=algebra.label)
     if rebuilt.hom_rows != algebra.hom_rows:
         raise InternalError("hom support is not generated by zero endpoint pairs")

@@ -14,10 +14,6 @@ from typing import Iterable, Sequence
 from .errors import TriangularityViolation
 
 
-def _popcount(x: int) -> int:
-    return x.bit_count()
-
-
 def _bits(mask: int):
     """The set bits of ``mask``, ascending, one lowest set bit at a time."""
     while mask:
@@ -96,14 +92,13 @@ class Quiver:
         return tuple(rows)
 
     def topological_order(self) -> list[int]:
-        indeg = [_popcount(self.in_mask[i]) for i in range(self.n)]
-        stack = sorted(i for i in range(self.n) if indeg[i] == 0)
+        indeg = [m.bit_count() for m in self.in_mask]
+        ready = [i for i in reversed(range(self.n)) if not indeg[i]]
         order = []
-        ready = stack[::-1]
         while ready:
             v = ready.pop()
             order.append(v)
-            for w in sorted(_bits(self.out_mask[v])):
+            for w in _bits(self.out_mask[v]):
                 indeg[w] -= 1
                 if indeg[w] == 0:
                     ready.append(w)
@@ -161,15 +156,16 @@ class Contour:
         return self.p.target
 
 
-def has_bypass(quiver: Quiver) -> bool:
-    """True iff some arrow x->y coexists with a path x ~> y of length >= 2.
+def is_bypass(quiver: Quiver, s: int, t: int) -> bool:
+    """True iff the arrow s->t coexists with a path s ~> t of length >= 2.
 
     Raises TriangularityViolation on a directed cycle."""
-    for s, t in quiver.arrows:
-        for m in _bits(quiver.out_mask[s] & ~(1 << t)):
-            if quiver.reaches(m, t):
-                return True
-    return False
+    return any(quiver.reaches(m, t) for m in _bits(quiver.out_mask[s] & ~(1 << t)))
+
+
+def has_bypass(quiver: Quiver) -> bool:
+    """True iff some arrow is a bypass (``is_bypass``)."""
+    return any(is_bypass(quiver, s, t) for s, t in quiver.arrows)
 
 
 def covers(rows: Sequence[int]) -> list[int]:
@@ -222,26 +218,21 @@ def transpose(rows: Sequence[int]) -> list[int]:
     return cols
 
 
-def _local_mask(parent_mask: int, sub_mask: int) -> int:
-    """Re-index a submask of an ambient vertex mask into induced positions."""
-    out = 0
-    pos = 0
-    m = parent_mask
-    i = 0
-    while m:
-        if m & 1:
-            if sub_mask >> i & 1:
-                out |= 1 << pos
-            pos += 1
-        m >>= 1
-        i += 1
-    return out
-
-
 def _sub_rows(rows: Sequence[int], mask: int) -> list[int]:
     """A relation given by bit rows, restricted to the members of ``mask``
-    and re-indexed into induced positions."""
-    return [_local_mask(mask, rows[i]) for i in _bits(mask)]
+    and re-indexed into induced positions: one pass over the members gives
+    each its induced bit, and each member's row gathers the bits of the
+    members it holds."""
+    local = {}
+    for w in _bits(mask):
+        local[w] = 1 << len(local)
+    out = []
+    for v in local:
+        row = 0
+        for w in _bits(rows[v] & mask):
+            row |= local[w]
+        out.append(row)
+    return out
 
 
 def all_paths(quiver: Quiver, src: int, dst: int) -> list[tuple[int, ...]]:

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Sequence
 
 from .criteria import CriticalReport, CriticalTemplate, gldim2_criterion
-from .homology import idim_of_simple, pd_of_simple, resolution_of_simple
+from .homology import idim_of_simple, minimal_injective_coresolution, pd_of_simple, resolution_of_simple
 from .presentation import SchurianAlgebra
 
 SCHEMA_VERSION = "1"
@@ -69,8 +70,6 @@ def resolution_line(algebra: SchurianAlgebra, x: str) -> str:
 
 
 def coresolution_line(algebra: SchurianAlgebra, x: str) -> str:
-    from .homology import minimal_injective_coresolution
-
     res = minimal_injective_coresolution(algebra, x)
     parts = ["0", f"S{x}"]
     for k in range(len(res.terms)):
@@ -91,6 +90,17 @@ def _term_text(names: tuple[str, ...], prefix: str) -> str:
     return "⊕".join(bits)
 
 
+def critical_line(subset: Sequence[str], template: CriticalTemplate | None) -> str:
+    """The text line of one critical subcategory."""
+    return f"critical subcategory: {{{','.join(subset)}}} ≅ {template.display if template else 'unclassified'}"
+
+
+def json_bytes(data, ensure_ascii: bool = True) -> bytes:
+    """The pinned JSON form of an output document: two-space indent, one
+    trailing newline, UTF-8."""
+    return (json.dumps(data, indent=2, ensure_ascii=ensure_ascii) + "\n").encode("utf-8")
+
+
 def critical_json(r: CriticalReport) -> dict:
     """The pinned JSON record of one critical subcategory."""
     return {
@@ -106,7 +116,7 @@ def build_report(
     with_criterion: bool = True,
     budget_seconds: float | None = None,
 ) -> ReportDocument:
-    certified = bool(algebra.validity) if algebra.validity is not None else False
+    certified = bool(algebra.validity)
     simples = [
         {"vertex": x, "pd": pd_of_simple(algebra, x), "id": idim_of_simple(algebra, x)}
         for x in algebra.names
@@ -132,7 +142,7 @@ def build_report(
 
 def render_report(report: ReportDocument, fmt: str = "text") -> bytes:
     if fmt == "json":
-        return (json.dumps(report.to_json_dict(), indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+        return json_bytes(report.to_json_dict(), ensure_ascii=False)
     if fmt != "text":
         raise ValueError(f"unknown format {fmt!r}")
     suffix = "" if report.certified else " (uncertified hypotheses)"
@@ -158,9 +168,8 @@ def render_report(report: ReportDocument, fmt: str = "text") -> bytes:
             f"criterion: critical subcategories found (one-directional; does not decide gl.dim){suffix}"
         )
         for c in crit["critical"]:
-            subset = ",".join(c["subset"])
             tpl = CriticalTemplate(c["template"], c["params"], c["opposite"]) if c["template"] else None
-            lines.append(f"  critical subcategory: {{{subset}}} ≅ {tpl.display if tpl else 'unclassified'}")
+            lines.append("  " + critical_line(c["subset"], tpl))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 

@@ -14,16 +14,12 @@ malformed_relation, not_hasse, cycle.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
-from .errors import (
-    MalformedRelation,
-    NotAHasseDiagram,
-    SpecError,
-    TriangularityViolation,
-)
+from .errors import NotAHasseDiagram, SpecError, TriangularityViolation
 from .presentation import IncidenceQuotient, from_poset
-from .quivers import Quiver
+from .quivers import Quiver, is_bypass
 
 
 @dataclass
@@ -46,46 +42,25 @@ class AlgebraSpecDocument:
             raise SpecError("cycle", str(e), line, col) from e
         for k, (s, t) in enumerate(self.zeros):
             si, ti = quiver.index[s], quiver.index[t]
-            if not reach[si] >> ti & 1 or (si, ti) in quiver.arrows:
-                line, col = self.zero_locs[k]
-                raise SpecError(
-                    "malformed_relation",
-                    f"no path of length >= 2 realizes the zero pair {s} ~> {t}",
-                    line,
-                    col,
-                )
+            if si == ti:
+                message = f"zero pair with equal endpoints: {s} ~> {t}"
+            elif not reach[si] >> ti & 1 or (si, ti) in quiver.arrows:
+                message = f"no path of length >= 2 realizes the zero pair {s} ~> {t}"
+            else:
+                continue
+            raise SpecError("malformed_relation", message, *self.zero_locs[k])
         try:
             return from_poset(quiver, self.zeros, label=self.name)
         except NotAHasseDiagram as e:
-            line, col = _bypass_location(quiver, self.arrows, self.arrow_locs)
-            raise SpecError("not_hasse", str(e), line, col) from e
-        except MalformedRelation as e:  # pragma: no cover - relocated above
-            line, col = self.zero_locs[0] if self.zero_locs else (1, 1)
-            raise SpecError("malformed_relation", str(e), line, col) from e
+            # the first bypass in declaration order
+            k = next(k for k, (s, t) in enumerate(self.arrows)
+                     if is_bypass(quiver, quiver.index[s], quiver.index[t]))
+            raise SpecError("not_hasse", str(e), *self.arrow_locs[k]) from e
 
 
-def _bypass_location(quiver, arrows, locs):
-    for k, (s, t) in enumerate(arrows):
-        si, ti = quiver.index[s], quiver.index[t]
-        for mid in range(quiver.n):
-            if mid not in (si, ti) and quiver.out_mask[si] >> mid & 1 and quiver.reaches(mid, ti):
-                return locs[k]
-    return locs[0] if locs else (1, 1)
-
-
-def _tokenize(line: str):
-    out = []
-    col = 0
-    k = 0
-    while k < len(line):
-        if line[k].isspace():
-            k += 1
-            continue
-        start = k
-        while k < len(line) and not line[k].isspace():
-            k += 1
-        out.append((line[start:k], start + 1))
-    return out
+def _tokenize(line: str) -> list[tuple[str, int]]:
+    """The whitespace-separated tokens of ``line`` with their 1-based columns."""
+    return [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", line)]
 
 
 def parse_spec(text: str) -> AlgebraSpecDocument:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from critalg.iso import are_isomorphic, canonical_form
-from critalg.quivers import Quiver, _bits, _popcount, cover_arrows, transpose
+from critalg.quivers import Quiver, _bits, cover_arrows, transpose
 
 
 @lru_cache(maxsize=None)
@@ -28,7 +28,7 @@ def posets_up_to_iso(n: int) -> tuple[tuple[int, ...], ...]:
     for base in posets_up_to_iso(k):
         for ideal in _ideals(base, k):
             rows = base + ((1 << k) | ideal,)
-            key = tuple(sorted(zip(map(_popcount, rows), map(_popcount, transpose(rows)))))
+            key = tuple(sorted(zip(map(int.bit_count, rows), map(int.bit_count, transpose(rows)))))
             bucket = buckets.setdefault(key, [])
             if not any(are_isomorphic(n, rows, n, other) for other in bucket):
                 bucket.append(rows)

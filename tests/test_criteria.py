@@ -174,15 +174,15 @@ def test_invalid_template_parameters():
 
 def test_find_critical_diamond6(diamond6):
     reports = find_all_critical_subcategories(diamond6)
-    subsets = {r.subset: r.template_display for r in reports}
-    assert subsets[("1", "2", "5", "6")] == "A_1"
+    subsets = {r.subset: r.template for r in reports}
+    assert subsets[("1", "2", "5", "6")].display == "A_1"
     assert set(subsets) == {("1", "2", "4", "6"), ("1", "2", "5", "6"), ("1", "3", "5", "6")}
     assert reports[0].subset == ("1", "2", "4", "6")
 
 
 def test_find_critical_chain6(chain6):
     reports = find_all_critical_subcategories(chain6)
-    assert [(r.subset, r.template_display) for r in reports] == [(("1", "2", "5", "6"), "A_1")]
+    assert [(r.subset, r.template.display) for r in reports] == [(("1", "2", "5", "6"), "A_1")]
 
 
 def test_find_critical_hereditary(chain3):

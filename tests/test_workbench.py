@@ -3,6 +3,7 @@ import io
 import json
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -64,6 +65,9 @@ def test_parser_diagnostics():
     assert (code, line) == ("duplicate_arrow", 3)
     code, line, _ = _code_at("algebra x\nvertices 1 2\narrows 1->2\nzero 1 ~> 2")
     assert (code, line) == ("malformed_relation", 4)
+    # each zero pair is reported at its own line, also with equal endpoints
+    assert _code_at("algebra x\nvertices 1 2 3\narrows 1->2 2->3\nzero 1 ~> 3\nzero 2 ~> 2") == (
+        "malformed_relation", 5, 6)
     code, line, _ = _code_at("algebra x\nvertices 1 2 3\narrows 1->2 2->3 1->3")
     assert code == "not_hasse"
     code, line, _ = _code_at("algebra x\nvertices 1 2\narrows 1->2 2->1")
@@ -415,3 +419,44 @@ def test_golden_report_schema(diamond6):
     golden_path = pathlib.Path(__file__).parent / "golden" / "diamond6.json"
     rendered = render_report(build_report(diamond6), "json")
     assert rendered == golden_path.read_bytes()
+
+
+NON_ASCII_DOC = """\
+algebra ĉeno
+vertices α β γ δ ε ζ
+arrows α->β β->γ γ->δ δ->ε ε->ζ
+zero α ~> γ
+zero δ ~> ζ
+"""
+
+NON_ASCII_SQUARE = "algebra ĉirklo\nvertices α β γ δ\narrows α->β α->γ β->δ γ->δ\n"
+
+# sha256 over (argv with file basenames, exit code, stdout) of every command
+# that reads a file, plain and with --json, on the inputs of
+# test_cli_outputs_are_pinned; the non-ASCII files pin each command's
+# ensure_ascii
+CLI_DIGEST = "0825b29b041edbbb942ca813cb4277fb6937f465108eb853d605e1bd11df0bb1"
+
+
+def test_cli_outputs_are_pinned(tmp_path):
+    here = Path(__file__).parent
+    files = sorted(here.glob("golden/*.alg")) + [here / "regressions" / "iv-decides.alg"]
+    for kind, param in (("A", "1"), ("B", "3"), ("Q", "2")):
+        for opposite in ([], ["--opposite"]):
+            code, out, _ = run_cli(["templates", "--emit", kind, param, *opposite])
+            assert code == 0
+            files.append(tmp_path / f"{kind}{param}{'op' if opposite else ''}.alg")
+            files[-1].write_bytes(out)
+    for name, doc in (("non-ascii.alg", NON_ASCII_DOC), ("non-ascii-square.alg", NON_ASCII_SQUARE)):
+        files.append(tmp_path / name)
+        files[-1].write_text(doc, encoding="utf-8")
+    h = hashlib.sha256()
+    for path in files:
+        first = parse_spec(path.read_text(encoding="utf-8")).vertices[0]
+        for command in (["validate"], ["gldim"], ["criterion"], ["critical"], ["critical", "--strategy", "guided"],
+                        ["iz"], ["compare"], ["resolve", "--simple", first],
+                        ["resolve", "--simple", first, "--coresolution"]):
+            for flags in ([], ["--json"]):
+                code, out, _ = run_cli([command[0], str(path), *command[1:], *flags])
+                h.update(repr(([command[0], path.name, *command[1:], *flags], code, out)).encode("utf-8"))
+    assert h.hexdigest() == CLI_DIGEST
